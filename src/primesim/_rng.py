@@ -26,6 +26,3 @@ def mix64(seed: int, counters: np.ndarray) -> np.ndarray:
     z ^= z >> np.uint64(31)
     return z
 
-
-def mix64_scalar(seed: int, counter: int) -> int:
-    return int(mix64(seed, np.array([counter], dtype=np.uint64))[0])

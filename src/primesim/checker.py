@@ -1,12 +1,18 @@
 """Goldbach-style verification over a NumberSet.
 
 The hot path answers, for every even number in a range, whether it splits
-as q1 + q2 with both parts in the set. The scan walks candidate q1
-ascending (so the reported pair is canonical) and tests the complement
-against the bitset; surviving evens are failures. Distance sets A_n/B_n
-and their bitset-AND disjointness are materialized only for diagnostics
-and small-scale equivalence tests — representability of 2n is equivalent
-to A_n and B_n intersecting.
+as q1 + q2 with both parts in the set. It is a word-parallel sweep: a
+bitset over one bucket of evens collects, for each element q1 in turn, the
+set's membership bits shifted down by q1, so one bitset OR settles every
+even of the bucket for that q1. Once the open evens no longer outnumber the
+bitset's words, the few left are handed to the per-even scans, which walk
+candidate q1 ascending (or q2 descending above limit + 1) and also give the
+canonical smallest-q1 pair; evens they cannot split are failures.
+
+Representation counts use the paper's identity r(2n) = |A_n ∩ B_n|: one
+AND + popcount of the set's own words against a bit-reversed window.
+Distance sets A_n/B_n and their disjointness are materialized only for
+diagnostics and small-scale equivalence tests.
 """
 
 from __future__ import annotations
@@ -23,6 +29,9 @@ from .simsets import SetSpec
 
 BUCKET_WIDTH = 1_000_000
 SAMPLE_STRIDE = 1_000
+
+_U64 = np.uint64
+_ODD_BITS = _U64(0xAAAA_AAAA_AAAA_AAAA)  # bits 1, 3, ..., 63
 
 
 @dataclass(frozen=True)
@@ -114,17 +123,25 @@ def disjoint(a: DistanceSet, b: DistanceSet) -> bool:
 def pair_count(setQ: NumberSet, even2n: int) -> int:
     """Number of representations even2n = q1 + q2, q1 <= q2, both in the set.
 
-    Equals |A_n ∩ B_n| for n = even2n/2: one AND+popcount over packed
-    windows, the second window read through the cached bit-reversal.
+    Equals |A_n ∩ B_n| for n = even2n/2. The q1 side is the set's own
+    words covering [u_lo, n], read in place; only the q2 = even2n - q1 side
+    is shifted, once, out of the cached bit-reversal. One AND, a mask for
+    q1 > n in the top word, one popcount. q1 < u_lo needs no mask: 0 is
+    never a member, and any other such q1 has q2 > limit, which reads 0.
     """
     _validate_even(setQ, even2n)
     n = even2n >> 1
     u_lo = max(1, even2n - setQ.limit)
     if u_lo > n:
         return 0
-    A = extract_window(setQ._words, u_lo, n)
-    B = _reversed_window(setQ, even2n - n, even2n - u_lo)
-    return int(np.bitwise_count(A & B).sum())
+    w_lo, w_hi = u_lo >> 6, n >> 6
+    # bit j of B is membership of even2n - (64 * w_lo + j); complements above
+    # the bitset's last word fall below bit 0 of the reversal and read as 0
+    start = (setQ._words.size << 6) - 1 - even2n + (w_lo << 6)
+    B = extract_window(setQ.reversed_words(), start, start + ((w_hi - w_lo + 1) << 6) - 1)
+    B &= setQ._words[w_lo : w_hi + 1]
+    B[-1] &= _U64((2 << (n & 63)) - 1)
+    return int(np.bitwise_count(B).sum())
 
 
 def _validate_even(setQ: NumberSet, even2n: int) -> None:
@@ -161,7 +178,15 @@ def minimal_representations(setQ: NumberSet, lo: int, hi: int) -> np.ndarray:
     order makes results identical to per-even queries.
     """
     _validate_range(setQ, lo, hi)
-    E = np.arange(lo, hi + 2, 2, dtype=np.int64)
+    return _minimal_q1(setQ, np.arange(lo, hi + 2, 2, dtype=np.int64))
+
+
+def _minimal_q1(setQ: NumberSet, E: np.ndarray) -> np.ndarray:
+    """Smallest q1 for each even of the ascending array E (0 where none).
+
+    Evens up to limit + 1 scan q1 upward; above it small q1 are useless
+    (the complement would exceed the universe), so those scan q2 downward.
+    """
     out = np.zeros(E.size, dtype=np.int64)
     boundary = int(np.searchsorted(E, setQ.limit + 1, side="right"))
     _scan_ascending(setQ, E[:boundary], out[:boundary])
@@ -240,16 +265,37 @@ def _bucket_bounds(lo: int, hi: int, width: int) -> list[tuple[int, int]]:
     return bounds
 
 
+def _sweep_open(setQ: NumberSet, lo: int, hi: int) -> np.ndarray:
+    """Evens in [lo, hi] left unsplit by a word-parallel sweep over q1.
+
+    Bit i of R stands for the integer lo + i; odd ones start set. OR-ing in
+    the set's bits over [lo - q1, hi - q1] marks every even e with
+    e - q1 in the set. Elements go in ascending order until the open evens
+    no longer outnumber R's words (or 2 * q1 > hi, past which a new pair
+    would repeat one already found); the rest are left to the scans.
+    Meant for hi <= limit + 1, where small q1 split most evens.
+    """
+    nbits = hi - lo + 1
+    R = np.full((nbits + 63) >> 6, _ODD_BITS, dtype=np.uint64)
+    if nbits & 63:
+        R[-1] |= ~_U64((1 << (nbits & 63)) - 1)  # padding past hi counts as settled
+    for q1 in map(int, setQ.elements):
+        open_evens = (R.size << 6) - int(np.bitwise_count(R).sum())
+        if open_evens <= R.size or 2 * q1 > hi:
+            break
+        R |= extract_window(setQ._words, lo - q1, hi - q1)
+    bits = np.unpackbits(R.view(np.uint8), count=nbits, bitorder="little")
+    return lo + np.flatnonzero(bits == 0)
+
+
 def _check_bucket(
     setQ: NumberSet, b_lo: int, b_hi: int, stride: int
 ) -> tuple[list[int], BucketStats]:
-    E = np.arange(b_lo, b_hi + 2, 2, dtype=np.int64)
-    q1 = np.zeros(E.size, dtype=np.int64)
-    boundary = int(np.searchsorted(E, setQ.limit + 1, side="right"))
-    _scan_ascending(setQ, E[:boundary], q1[:boundary])
-    _scan_descending(setQ, E[boundary:], q1[boundary:])
-    failures = E[q1 == 0].tolist()
-    sampled = E[:: stride]
+    sweep_hi = min(b_hi, (setQ.limit + 1) & ~1)
+    swept = _sweep_open(setQ, b_lo, sweep_hi) if b_lo <= sweep_hi else np.empty(0, np.int64)
+    E = np.concatenate([swept, np.arange(max(b_lo, sweep_hi + 2), b_hi + 2, 2, dtype=np.int64)])
+    failures = E[_minimal_q1(setQ, E) == 0].tolist()
+    sampled = np.arange(b_lo, b_hi + 1, 2 * stride, dtype=np.int64)
     counts = np.fromiter(
         (pair_count(setQ, int(e)) for e in sampled), dtype=np.int64, count=sampled.size
     )
@@ -278,8 +324,12 @@ def check_range(
 
     Buckets are fixed by (lo, hi, bucket_width) and processed independently
     against the immutable set, so any worker count produces identical
-    reports. Representation counts are sampled 1-in-`sample_stride` evens
-    per bucket; slow_mode counts every even.
+    reports. Within a bucket the word-parallel sweep settles most evens up
+    to limit + 1; the open remainder and any evens above limit + 1 go
+    through the per-even scans, and the evens those cannot split are the
+    failures. Only failures are reported, so the order in which the sweep
+    finds pairs does not matter. Representation counts are sampled
+    1-in-`sample_stride` evens per bucket; slow_mode counts every even.
     """
     _validate_range(setQ, lo, hi)
     if workers < 1:

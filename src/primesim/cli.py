@@ -19,6 +19,7 @@ from .errors import DomainError, SetFormatError
 from .numset import DEFAULT_SEGMENT_SIZE, primes_up_to, save_set
 from .probmodel import coefficient_c, model_table, tail_integral
 from .reports import (
+    SCHEMA_VERSION,
     check_report_csv,
     check_report_dict,
     dump_json,
@@ -137,7 +138,7 @@ def _run_sieve(config: RunConfig) -> int:
         doc = config.header()
         doc["limit"] = ns.limit
         doc["count"] = len(ns)
-        sys.stdout.write(dump_json({"schema_version": 1, **doc}))
+        sys.stdout.write(dump_json({"schema_version": SCHEMA_VERSION, **doc}))
     return 0
 
 
@@ -150,7 +151,7 @@ def _run_gen_set(config: RunConfig) -> int:
         grid, devs = deviation_series(ns, primes)
         doc = config.header()
         doc_out = {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             **doc,
             "spec": config.spec.to_dict(),
             "max_deviation": report.max_deviation,
@@ -191,7 +192,7 @@ def _run_anb(config: RunConfig) -> int:
     b = b_set(ns, n)
     rep = find_representation(ns, 2 * n)
     doc = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         **config.header(),
         "n": n,
         "a_members": a.members.tolist(),
@@ -225,7 +226,7 @@ def _run_prob(config: RunConfig) -> int:
 def _run_tail(config: RunConfig) -> int:
     lp = tail_integral(config.tail_from, config.damping_c)
     doc = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         **config.header(),
         "from": config.tail_from,
         "damping_c": config.damping_c,

@@ -6,8 +6,8 @@ is the integer 64*w + i), rank queries use per-word prefix popcounts, and
 the sorted element array is kept for ordered scans.
 
 The module also owns the shared on-disk set format and the packed-window
-bit helpers (aligned extraction, reversed extraction, popcount) that the
-Goldbach checker builds its intersection counts on.
+bit helpers (aligned and reversed extraction) that the Goldbach checker
+builds its sweep and intersection counts on.
 """
 
 from __future__ import annotations
@@ -151,23 +151,32 @@ def bits_at(words: np.ndarray, xs: np.ndarray) -> np.ndarray:
 def extract_window(words: np.ndarray, a: int, b: int) -> np.ndarray:
     """Packed bits of positions [a, b] inclusive, re-aligned to bit 0.
 
-    Bit j of the result is bit (a + j) of `words`; positions beyond the
-    source array read as 0. Trailing bits of the last word are zeroed.
+    Bit j of the result is bit (a + j) of `words`; positions below 0 or
+    beyond the source array read as 0, so a may be negative. Trailing bits
+    of the last word are zeroed.
     """
-    if b < a or a < 0:
+    if b < a:
         raise ValueError("bad window")
     length = b - a + 1
     nw_out = (length + 63) >> 6
-    w0 = a >> 6
+    w0 = a >> 6  # floor division: a == 64 * w0 + s even for negative a
     s = a & 63
     need = nw_out + 1
-    src = words[w0 : w0 + need]
+    src = words[max(w0, 0) : max(w0 + need, 0)]
     if src.size < need:
-        src = np.concatenate([src, np.zeros(need - src.size, dtype=np.uint64)])
+        pad_lo = min(max(-w0, 0), need)
+        src = np.concatenate(
+            [
+                np.zeros(pad_lo, dtype=np.uint64),
+                src,
+                np.zeros(need - pad_lo - src.size, dtype=np.uint64),
+            ]
+        )
     if s == 0:
         out = src[:nw_out].copy()
     else:
-        out = (src[:nw_out] >> _U64(s)) | (src[1 : nw_out + 1] << _U64(64 - s))
+        out = src[:nw_out] >> _U64(s)
+        out |= src[1 : nw_out + 1] << _U64(64 - s)
     r = length & 63
     if r:
         out[-1] &= _U64((1 << r) - 1)
@@ -184,10 +193,6 @@ def extract_window_reversed(words: np.ndarray, a: int, b: int) -> np.ndarray:
     rev = rev_bytes.view(np.uint64)
     # bit j of the target is bit (total - length + j) of the reversed buffer
     return extract_window(rev, total - length, total - 1)
-
-
-def popcount_words(words: np.ndarray) -> int:
-    return int(np.bitwise_count(words).sum())
 
 
 def window_bools(words: np.ndarray, a: int, b: int) -> np.ndarray:

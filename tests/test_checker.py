@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from primesim.checker import (
     a_set,
@@ -31,6 +33,25 @@ def brute_force_representation(members: set[int], even2n: int) -> tuple[int, int
 
 def brute_force_count(members: set[int], even2n: int) -> int:
     return sum(1 for q in members if 2 * q <= even2n and (even2n - q) in members)
+
+
+@st.composite
+def random_sets(draw) -> NumberSet:
+    """Sparse or mostly-even random sets; limits include 64k - 1 and 64k."""
+    limit = draw(
+        st.one_of(
+            st.integers(min_value=2, max_value=700),
+            st.integers(min_value=1, max_value=10).map(lambda k: 64 * k - 1),
+            st.integers(min_value=1, max_value=10).map(lambda k: 64 * k),
+        )
+    )
+    density = draw(st.floats(min_value=0.01, max_value=1.0))
+    odd_share = draw(st.sampled_from([1.0, 0.05]))  # 0.05: mostly-even sets
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    x = np.arange(1, limit + 1)
+    keep = rng.random(limit) < np.where(x % 2 == 1, density * odd_share, density)
+    elems = x[keep] if keep.any() else np.array([limit])
+    return NumberSet.from_elements(elems, limit)
 
 
 class TestFindRepresentation:
@@ -151,6 +172,19 @@ class TestPairCount:
             for even in range(2, 601, 2):
                 assert pair_count(ns, even) == brute_force_count(members, even)
 
+    @given(ns=random_sets())
+    @settings(max_examples=80, deadline=None)
+    # limit 340, even 384: the q2 side of the first word reaches 384, past
+    # the bitset's last bit 383
+    @example(ns=NumberSet.from_elements(range(1, 341)))
+    @example(ns=primes_up_to(340))
+    def test_matches_brute_force_on_random_sets(self, ns):
+        # every even up to 2 * limit: above limit, u_lo = even - limit is
+        # rarely word-aligned and the q2 side reads past the last word
+        members = set(ns.elements.tolist())
+        for even in range(2, 2 * ns.limit + 1, 2):
+            assert pair_count(ns, even) == brute_force_count(members, even), even
+
 
 class TestCheckRange:
     def test_primes_clean_to_1e4(self, primes_10k):
@@ -178,6 +212,21 @@ class TestCheckRange:
                 if brute_force_representation(members, e) is None
             ]
             assert report.failures == oracle
+
+    @given(data=st.data(), ns=random_sets())
+    @settings(max_examples=80, deadline=None)
+    def test_failures_match_brute_force_on_random_sets(self, data, ns):
+        # ranges reach past limit + 1, small lo makes the first bucket's
+        # windows start below bit 0, and bucket widths are random
+        lo = 2 * data.draw(st.integers(min_value=2, max_value=ns.limit))
+        hi = 2 * data.draw(st.integers(min_value=lo // 2, max_value=ns.limit))
+        width = 2 * data.draw(st.integers(min_value=1, max_value=hi // 2))
+        members = set(ns.elements.tolist())
+        report = check_range(ns, lo, hi, bucket_width=width)
+        oracle = [
+            e for e in range(lo, hi + 1, 2) if brute_force_representation(members, e) is None
+        ]
+        assert report.failures == oracle
 
     def test_worker_count_invariance(self, primes_100k):
         base = check_range(primes_100k, 4, 100_000, bucket_width=10_000)

@@ -9,7 +9,6 @@ from primesim.numset import (
     extract_window,
     extract_window_reversed,
     load_set,
-    popcount_words,
     primes_up_to,
     save_set,
     bits_at,
@@ -141,16 +140,20 @@ class TestBitWindows:
         )
         words = np.array(raw, dtype=np.uint64)
         total = 64 * n_words
-        a = data.draw(st.integers(min_value=0, max_value=total - 1))
-        b = data.draw(st.integers(min_value=a, max_value=total - 1))
+        # windows may start below bit 0 or end past the last word: those read 0
+        a = data.draw(st.integers(min_value=-2 * total, max_value=total - 1))
+        b = data.draw(st.integers(min_value=a, max_value=total + 64))
         bits = np.unpackbits(words.view(np.uint8), bitorder="little")
+        zeros = np.zeros(2 * total, dtype=np.uint8)
+        padded = np.concatenate([zeros, bits, zeros])[a + 2 * total : b + 2 * total + 1]
         fwd = extract_window(words, a, b)
-        got = np.unpackbits(fwd.view(np.uint8), count=b - a + 1, bitorder="little")
-        assert np.array_equal(got, bits[a : b + 1])
+        assert fwd.size == (b - a + 64) // 64
+        got = np.unpackbits(fwd.view(np.uint8), bitorder="little")
+        assert np.array_equal(got[: b - a + 1], padded)
+        assert not got[b - a + 1 :].any()
         rev = extract_window_reversed(words, a, b)
         got_rev = np.unpackbits(rev.view(np.uint8), count=b - a + 1, bitorder="little")
-        assert np.array_equal(got_rev, bits[a : b + 1][::-1])
-        assert popcount_words(fwd) == int(bits[a : b + 1].sum())
+        assert np.array_equal(got_rev, padded[::-1])
 
     def test_window_beyond_source_reads_zero(self):
         words = np.array([np.uint64(0xFFFFFFFFFFFFFFFF)], dtype=np.uint64)
