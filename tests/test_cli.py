@@ -280,7 +280,7 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["check", "--nonsense"])
         assert excinfo.value.code == 2
-        assert "--lo" in capsys.readouterr().err or True
+        assert "--lo" in capsys.readouterr().err
 
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
