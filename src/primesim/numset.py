@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from typing import Iterable
 
 import numpy as np
@@ -122,10 +123,6 @@ class NumberSet:
         w = n >> 6
         mask = _U64((2 << (n & 63)) - 1)
         return int(self._cum[w]) + int((self._words[w] & mask).bit_count())
-
-    def contains_many(self, xs: np.ndarray) -> np.ndarray:
-        """Vector membership test; no bounds checks (internal hot path)."""
-        return bits_at(self._words, xs)
 
     def rank_many(self, ns: np.ndarray) -> np.ndarray:
         """Vector rank via binary search on the element array."""
@@ -273,10 +270,15 @@ def save_set(ns: NumberSet, path: str, header_comments: Iterable[str] = ()) -> N
 
 
 def load_set(path: str) -> NumberSet:
-    """Read the shared ASCII set format; errors carry the offending line number."""
+    """Read the shared ASCII set format; errors carry the offending line number.
+
+    Each element is checked as its line is read (>= 1, above the previous
+    one, fits in int64, within the limit header) and goes straight into a
+    compact int64 array.
+    """
     limit: int | None = None
-    values: list[int] = []
-    value_lines: list[int] = []
+    values = array("q")
+    prev = 0
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -289,23 +291,19 @@ def load_set(path: str) -> NumberSet:
                     raise SetFormatError(path, line_no, f"bad limit header {line!r}")
                 continue
             try:
-                values.append(int(line))
+                value = int(line)
             except ValueError:
                 raise SetFormatError(path, line_no, f"not an integer: {line!r}")
-            value_lines.append(line_no)
-    elems = np.asarray(values, dtype=np.int64)
-    if elems.size == 0 and limit is None:
+            if value <= prev:
+                message = "elements must be strictly ascending" if values else "elements must be >= 1"
+                raise SetFormatError(path, line_no, message)
+            try:
+                values.append(value)
+            except OverflowError:
+                raise SetFormatError(path, line_no, f"element {value} does not fit in int64")
+            if limit is not None and value > limit:
+                raise SetFormatError(path, line_no, f"element {value} exceeds limit {limit}")
+            prev = value
+    if not values and limit is None:
         raise SetFormatError(path, 1, "no elements and no limit header")
-    if elems.size:
-        if elems[0] < 1:
-            raise SetFormatError(path, value_lines[0], "elements must be >= 1")
-        bad = np.flatnonzero(np.diff(elems) <= 0)
-        if bad.size:
-            raise SetFormatError(
-                path, value_lines[int(bad[0]) + 1], "elements must be strictly ascending"
-            )
-        if limit is not None and elems[-1] > limit:
-            raise SetFormatError(
-                path, value_lines[-1], f"element {int(elems[-1])} exceeds limit {limit}"
-            )
-    return NumberSet.from_elements(elems, limit)
+    return NumberSet.from_elements(np.frombuffer(values, dtype=np.int64), limit)

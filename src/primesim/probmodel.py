@@ -291,8 +291,8 @@ def model_row(n: int, p_max: int | None = None, damping_c: float | None = None) 
         c = damping_c if damping_c is not None else params.damping_c
     else:
         k = round(n / math.log(n))
-        params = ModelParams(n=n, k1=k, k2=k, domain_size=n, damping_c=damping_c or 1.0)
-        c = params.damping_c
+        c = damping_c if damping_c is not None else 1.0
+        params = ModelParams(n=n, k1=k, k2=k, domain_size=n, damping_c=c)
     ln_p = exact_disjoint_prob(params.domain_size, params.k1, params.k2).ln_value
     tail = tail_integral(n, c).log10 if n >= 100 else None
     return ModelRow(

@@ -159,6 +159,15 @@ class TestCheck:
         assert code == 2
         assert "even" in err
 
+    def test_element_beyond_int64_is_input_error(self, capsys, tmp_path):
+        set_path = tmp_path / "big.txt"
+        set_path.write_text("limit=100\n5\n99999999999999999999\n")
+        code, _, err = run_cli(
+            capsys, "check", "--set", "file", "--path", str(set_path), "--lo", "4", "--hi", "10"
+        )
+        assert code == 2
+        assert "big.txt:3" in err
+
     def test_unknown_set_token(self, capsys):
         code, _, err = run_cli(
             capsys, "check", "--set", "nonsense", "--lo", "4", "--hi", "10"
@@ -208,6 +217,21 @@ class TestProb:
         code, out, _ = run_cli(capsys, "prob", "--n", "10000", "--c-from-pmax", "5")
         row = json.loads(out)["rows"][0]
         assert row["damping_c"] == 3.75
+
+    def test_zero_damping_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "prob", "--n", "10000", "--c", "0")
+        assert code == 2
+        assert out == ""
+        assert "damping" in err
+
+    @pytest.mark.parametrize("step", ["0", "-5"])
+    def test_nonpositive_n_step_rejected(self, capsys, step):
+        code, out, err = run_cli(
+            capsys, "prob", "--n", "1000", "--n-max", "2000", "--n-step", step
+        )
+        assert code == 2
+        assert out == ""
+        assert "--n-step" in err
 
 
 class TestTail:

@@ -217,6 +217,12 @@ class TestSetFile:
         with pytest.raises(SetFormatError, match="over.txt:3"):
             load_set(str(path))
 
+    def test_element_beyond_int64_reports_line(self, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text(f"5\n{2**63}\n")
+        with pytest.raises(SetFormatError, match="big.txt:2: element 9223372036854775808"):
+            load_set(str(path))
+
     def test_empty_needs_header(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("# nothing\n")

@@ -267,3 +267,8 @@ class TestModelRows:
     def test_params_validation(self):
         with pytest.raises(DomainError):
             ModelParams(n=10, k1=2, k2=2, domain_size=10, damping_c=0.5)
+
+    def test_zero_damping_rejected_not_defaulted(self):
+        for p_max in (None, 3):
+            with pytest.raises(DomainError, match="damping"):
+                model_row(10_000, p_max=p_max, damping_c=0.0)
