@@ -277,6 +277,7 @@ def load_set(path: str) -> NumberSet:
     compact int64 array.
     """
     limit: int | None = None
+    limit_line = 1
     values = array("q")
     prev = 0
     with open(path, "r", encoding="utf-8") as fh:
@@ -289,6 +290,7 @@ def load_set(path: str) -> NumberSet:
                     limit = int(line[len("limit=") :])
                 except ValueError:
                     raise SetFormatError(path, line_no, f"bad limit header {line!r}")
+                limit_line = line_no
                 continue
             try:
                 value = int(line)
@@ -301,9 +303,18 @@ def load_set(path: str) -> NumberSet:
                 values.append(value)
             except OverflowError:
                 raise SetFormatError(path, line_no, f"element {value} does not fit in int64")
-            if limit is not None and value > limit:
+            if limit is None:
+                limit_line = line_no
+            elif value > limit:
                 raise SetFormatError(path, line_no, f"element {value} exceeds limit {limit}")
             prev = value
     if not values and limit is None:
         raise SetFormatError(path, 1, "no elements and no limit header")
-    return NumberSet.from_elements(np.frombuffer(values, dtype=np.int64), limit)
+    try:
+        return NumberSet.from_elements(np.frombuffer(values, dtype=np.int64), limit)
+    except MemoryError:
+        # the bitset is sized by the limit header, or else by the last element
+        size = limit if limit is not None else prev
+        raise SetFormatError(
+            path, limit_line, f"cannot allocate the {((size >> 6) + 1) * 8}-byte bitset for limit {size}"
+        ) from None

@@ -24,6 +24,11 @@ LN10 = math.log(10.0)
 RATIONAL_MAX_M = 64
 QUAD_REL_TOL = 1e-6
 QUAD_CUTOFF = 1e-30
+# slot hashes per Monte Carlo chunk: 256 KB of uint64, so every pass over a
+# chunk stays in L2 cache
+MC_CHUNK_SLOTS = 1 << 15
+# log-ratio terms per block of the exact sum: bounds its memory
+SUM_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -89,9 +94,13 @@ def exact_disjoint_fraction(m: int, k1: int, k2: int) -> Fraction:
 
 def _ln_ratio_sum(m: int, k1: int, k2: int) -> float:
     # ln C(m-k1, k2) - ln C(m, k2) as a sum of log ratios; each term is
-    # accurate to a couple of ulp, unlike differences of huge log-gammas
-    i = np.arange(k2, dtype=np.float64)
-    return float(np.log1p(-k1 / (m - i)).sum())
+    # accurate to a couple of ulp, unlike differences of huge log-gammas.
+    # Summed in blocks so memory stays O(SUM_BLOCK) for any k2.
+    blocks = (
+        np.arange(i0, min(k2, i0 + SUM_BLOCK), dtype=np.float64)
+        for i0 in range(0, k2, SUM_BLOCK)
+    )
+    return math.fsum(float(np.log1p(-k1 / (m - i)).sum()) for i in blocks)
 
 
 def exact_disjoint_prob(m: int, k1: int, k2: int) -> LogProb:
@@ -228,9 +237,11 @@ def monte_carlo_disjoint(
 ) -> MonteCarloResult:
     """Empirical disjointness frequency of independent uniform subset pairs.
 
-    Per-trial randomness is a pure function of (seed, trial, slot), so any
-    chunking or parallel split reproduces the same draws. Each subset is
-    the k smallest of m keyed hashes — a uniform k-subset.
+    By exchangeability A is fixed as the slots {0..k1-1}; B is the k2
+    smallest of m keyed hashes, a uniform k2-subset. B misses A exactly
+    when at least k2 slots outside A hash below every slot of A. Each hash
+    is a pure function of (seed, trial, slot), so any chunking or parallel
+    split reproduces the same draws.
     """
     if not (0 <= k1 <= m and 0 <= k2 <= m):
         raise DomainError(f"subset sizes ({k1}, {k2}) must lie in [0, {m}]")
@@ -241,21 +252,13 @@ def monte_carlo_disjoint(
     if k1 == 0 or k2 == 0:
         return MonteCarloResult(frequency=1.0, std_error=0.0, trials=trials)
     hits = 0
-    chunk = max(1, (1 << 22) // (2 * m))
+    chunk = max(1, MC_CHUNK_SLOTS // m)
     slots = np.arange(m, dtype=np.uint64)
-    stream_b = np.uint64(1 << 16)
     for t0 in range(0, trials, chunk):
-        t1 = min(trials, t0 + chunk)
-        base = np.arange(t0, t1, dtype=np.uint64) << np.uint64(17)
-        ctr_a = (base[:, None] | slots[None, :]).ravel()
-        h_a = mix64(seed, ctr_a).reshape(-1, m)
-        h_b = mix64(seed, ctr_a | stream_b).reshape(-1, m)
-        rows = np.arange(t1 - t0)[:, None]
-        mask_a = np.zeros((t1 - t0, m), dtype=bool)
-        mask_a[rows, np.argpartition(h_a, k1 - 1, axis=1)[:, :k1]] = True
-        mask_b = np.zeros((t1 - t0, m), dtype=bool)
-        mask_b[rows, np.argpartition(h_b, k2 - 1, axis=1)[:, :k2]] = True
-        hits += int((~(mask_a & mask_b).any(axis=1)).sum())
+        base = np.arange(t0, min(trials, t0 + chunk), dtype=np.uint64) << np.uint64(16)
+        h = mix64(seed, (base[:, None] | slots[None, :]).ravel()).reshape(-1, m)
+        below = h[:, k1:] < h[:, :k1].min(axis=1, keepdims=True)
+        hits += int((below.sum(axis=1) >= k2).sum())
     freq = hits / trials
     return MonteCarloResult(
         frequency=freq,

@@ -168,6 +168,15 @@ class TestCheck:
         assert code == 2
         assert "big.txt:3" in err
 
+    def test_unallocatable_limit_header_is_input_error(self, capsys, tmp_path):
+        set_path = tmp_path / "big.txt"
+        set_path.write_text(f"limit={2**62}\n5\n")
+        code, _, err = run_cli(
+            capsys, "check", "--set", "file", "--path", str(set_path), "--lo", "4", "--hi", "10"
+        )
+        assert code == 2
+        assert "big.txt:1" in err and "bitset" in err
+
     def test_unknown_set_token(self, capsys):
         code, _, err = run_cli(
             capsys, "check", "--set", "nonsense", "--lo", "4", "--hi", "10"

@@ -223,6 +223,13 @@ class TestSetFile:
         with pytest.raises(SetFormatError, match="big.txt:2: element 9223372036854775808"):
             load_set(str(path))
 
+    def test_unallocatable_limit_header_reports_line(self, tmp_path):
+        # numpy refuses the 512 PiB bitset at once, so this allocates nothing
+        path = tmp_path / "huge.txt"
+        path.write_text(f"# comment\nlimit={2**62}\n5\n")
+        with pytest.raises(SetFormatError, match=r"huge.txt:2: .*576460752303423496-byte bitset"):
+            load_set(str(path))
+
     def test_empty_needs_header(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("# nothing\n")

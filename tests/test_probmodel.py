@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primesim import probmodel
 from primesim.errors import DomainError
 from primesim.probmodel import (
     LogProb,
@@ -74,6 +76,26 @@ class TestExactDisjoint:
         if k1 > m or k2 > m:
             return
         assert exact_disjoint_fraction(m, k1, k2) == exact_disjoint_fraction(m, k2, k1)
+
+    @pytest.mark.parametrize("m", [10**5, 10**6, 10**7])
+    def test_block_sum_matches_one_block(self, m, monkeypatch):
+        k = round(m / math.log(m))
+        monkeypatch.setattr(probmodel, "SUM_BLOCK", k)
+        one_block = _ln_ratio_sum(m, k, k)
+        for block in (1000, 4097):
+            monkeypatch.setattr(probmodel, "SUM_BLOCK", block)
+            assert abs(_ln_ratio_sum(m, k, k) - one_block) <= 1e-12 * abs(one_block)
+
+    def test_memory_bounded_at_1e9(self):
+        m = 10**9
+        k = round(m / math.log(m))
+        tracemalloc.start()
+        try:
+            exact_disjoint_prob(m, k, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_routes_agree_at_boundary(self):
         # same inputs through both routes; crossover is m = 64
@@ -238,8 +260,24 @@ class TestMonteCarlo:
 
     def test_deterministic_and_chunk_invariant(self, monkeypatch):
         a = monte_carlo_disjoint(20, 4, 6, 20_000, seed=9)
-        b = monte_carlo_disjoint(20, 4, 6, 20_000, seed=9)
-        assert a == b
+        assert monte_carlo_disjoint(20, 4, 6, 20_000, seed=9) == a
+        # one trial per chunk, then 7 per chunk, which does not divide 20,000
+        for slots in (1, 7 * 20):
+            monkeypatch.setattr(probmodel, "MC_CHUNK_SLOTS", slots)
+            assert monte_carlo_disjoint(20, 4, 6, 20_000, seed=9) == a
+
+    @pytest.mark.parametrize("m,k1,k2", [(4, 2, 3), (10, 10, 1), (10, 3, 8), (7, 7, 7), (50, 10, 41)])
+    def test_no_room_for_b_is_never_disjoint(self, m, k1, k2):
+        assert monte_carlo_disjoint(m, k1, k2, 2000, seed=5).frequency == 0.0
+
+    @pytest.mark.parametrize("m,k1,k2", [(30, 10, 3), (30, 3, 10), (50, 7, 2), (50, 2, 7)])
+    def test_both_orientations_match_exact(self, m, k1, k2):
+        # A is fixed and B is drawn, so k1 and k2 play different roles
+        trials = 100_000
+        exact = math.exp(exact_disjoint_prob(m, k1, k2).ln_value)
+        result = monte_carlo_disjoint(m, k1, k2, trials, seed=11)
+        sigma = math.sqrt(exact * (1 - exact) / trials)
+        assert abs(result.frequency - exact) <= 4 * sigma
 
     def test_domain(self):
         with pytest.raises(DomainError):
