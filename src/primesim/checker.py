@@ -10,7 +10,10 @@ candidate q1 ascending (or q2 descending above limit + 1) and also give the
 canonical smallest-q1 pair; evens they cannot split are failures.
 
 Representation counts use the paper's identity r(2n) = |A_n ∩ B_n|: one
-AND + popcount of the set's own words against a bit-reversed window.
+AND + popcount of the set's own words against a bit-reversed window, an
+aligned slice of the set's bit-reversal pre-shifted for the even's residue
+mod 64. check_range counts its sampled evens one residue at a time, so
+each shifted copy is built once.
 Distance sets A_n/B_n and their disjointness are materialized only for
 diagnostics and small-scale equivalence tests.
 """
@@ -18,6 +21,7 @@ diagnostics and small-scale equivalence tests.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -124,10 +128,11 @@ def pair_count(setQ: NumberSet, even2n: int) -> int:
     """Number of representations even2n = q1 + q2, q1 <= q2, both in the set.
 
     Equals |A_n ∩ B_n| for n = even2n/2. The q1 side is the set's own
-    words covering [u_lo, n], read in place; only the q2 = even2n - q1 side
-    is shifted, once, out of the cached bit-reversal. One AND, a mask for
-    q1 > n in the top word, one popcount. q1 < u_lo needs no mask: 0 is
-    never a member, and any other such q1 has q2 > limit, which reads 0.
+    words covering [u_lo, n], the q2 = even2n - q1 side an aligned slice of
+    the set's shifted reversal for this even's residue mod 64 (built on a
+    residue change), both read in place. One AND, a mask for q1 > n in the
+    top word, one popcount. q1 < u_lo needs no mask: 0 is never a member,
+    and any other such q1 has q2 > limit, which reads 0.
     """
     _validate_even(setQ, even2n)
     n = even2n >> 1
@@ -135,11 +140,13 @@ def pair_count(setQ: NumberSet, even2n: int) -> int:
     if u_lo > n:
         return 0
     w_lo, w_hi = u_lo >> 6, n >> 6
-    # bit j of B is membership of even2n - (64 * w_lo + j); complements above
-    # the bitset's last word fall below bit 0 of the reversal and read as 0
+    # bit j of B is membership of even2n - (64 * w_lo + j), read from bit
+    # start of the reversal; complements above the bitset's last word fall
+    # below bit 0 there and read as 0. start & 63 == ~even2n & 63.
     start = (setQ._words.size << 6) - 1 - even2n + (w_lo << 6)
-    B = extract_window(setQ.reversed_words(), start, start + ((w_hi - w_lo + 1) << 6) - 1)
-    B &= setQ._words[w_lo : w_hi + 1]
+    k = (start >> 6) + 1
+    slot = setQ.shifted_reversal(~even2n & 63)
+    B = slot[k : k + w_hi - w_lo + 1] & setQ._words[w_lo : w_hi + 1]
     B[-1] &= _U64((2 << (n & 63)) - 1)
     return int(np.bitwise_count(B).sum())
 
@@ -288,25 +295,33 @@ def _sweep_open(setQ: NumberSet, lo: int, hi: int) -> np.ndarray:
     return lo + np.flatnonzero(bits == 0)
 
 
-def _check_bucket(
-    setQ: NumberSet, b_lo: int, b_hi: int, stride: int
-) -> tuple[list[int], BucketStats]:
+def _bucket_failures(setQ: NumberSet, b_lo: int, b_hi: int) -> list[int]:
     sweep_hi = min(b_hi, (setQ.limit + 1) & ~1)
     swept = _sweep_open(setQ, b_lo, sweep_hi) if b_lo <= sweep_hi else np.empty(0, np.int64)
     E = np.concatenate([swept, np.arange(max(b_lo, sweep_hi + 2), b_hi + 2, 2, dtype=np.int64)])
-    failures = E[_minimal_q1(setQ, E) == 0].tolist()
-    sampled = np.arange(b_lo, b_hi + 1, 2 * stride, dtype=np.int64)
-    counts = np.fromiter(
-        (pair_count(setQ, int(e)) for e in sampled), dtype=np.int64, count=sampled.size
-    )
-    stats = BucketStats(
-        lo=b_lo,
-        hi=b_hi,
-        sampled=int(sampled.size),
-        min_reps=int(counts.min()),
-        mean_reps=float(counts.mean()),
-    )
-    return failures, stats
+    return E[_minimal_q1(setQ, E) == 0].tolist()
+
+
+def _count_by_residue(setQ: NumberSet, evens: np.ndarray, run, workers: int) -> np.ndarray:
+    """pair_count of every even, one residue of the even mod 64 at a time.
+
+    pair_count reads its reversed window from the set's one-slot shifted
+    reversal, keyed by the even's residue mod 64. Grouping the evens by
+    residue builds each slot once, here, before the workers share it;
+    each worker counts every workers-th even of the group, which balances
+    their window sizes.
+    """
+    counts = np.empty(evens.size, dtype=np.int64)
+    shifts = ~evens & 63  # the slot key pair_count uses
+    order = np.argsort(shifts, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(shifts[order])) + 1):
+        setQ.shifted_reversal(int(shifts[group[0]]))
+        shares = [group[i::workers] for i in range(workers)]
+        for share, share_counts in zip(
+            shares, run(lambda share: [pair_count(setQ, e) for e in evens[share].tolist()], shares)
+        ):
+            counts[share] = share_counts
+    return counts
 
 
 def check_range(
@@ -329,7 +344,9 @@ def check_range(
     through the per-even scans, and the evens those cannot split are the
     failures. Only failures are reported, so the order in which the sweep
     finds pairs does not matter. Representation counts are sampled
-    1-in-`sample_stride` evens per bucket; slow_mode counts every even.
+    1-in-`sample_stride` evens per bucket (slow_mode counts every even) and
+    made in one pass over all buckets, grouped by the even's residue mod
+    64; each bucket's min and mean are then read off its own counts.
     """
     _validate_range(setQ, lo, hi)
     if workers < 1:
@@ -340,20 +357,23 @@ def check_range(
         raise DomainError("sample_stride must be >= 1")
     stride = 1 if slow_mode else sample_stride
     t0 = time.perf_counter()
-    setQ.reversed_words()  # materialize once, not per worker
     bounds = _bucket_bounds(lo, hi, bucket_width)
-    if workers == 1:
-        results = [_check_bucket(setQ, b_lo, b_hi, stride) for b_lo, b_hi in bounds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda b: _check_bucket(setQ, b[0], b[1], stride), bounds)
-            )
-    failures: list[int] = []
-    buckets: list[BucketStats] = []
-    for bucket_failures, stats in results:
-        failures.extend(bucket_failures)
-        buckets.append(stats)
+    sampled = [np.arange(b_lo, b_hi + 1, 2 * stride, dtype=np.int64) for b_lo, b_hi in bounds]
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        run = pool.map if pool else map
+        failures = [e for fs in run(lambda b: _bucket_failures(setQ, *b), bounds) for e in fs]
+        counts = _count_by_residue(setQ, np.concatenate(sampled), run, workers)
+    cuts = np.cumsum([s.size for s in sampled])[:-1]
+    buckets = [
+        BucketStats(
+            lo=b_lo,
+            hi=b_hi,
+            sampled=int(c.size),
+            min_reps=int(c.min()),
+            mean_reps=float(c.mean()),
+        )
+        for (b_lo, b_hi), c in zip(bounds, np.split(counts, cuts))
+    ]
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return CheckReport(
         set_spec=set_spec,

@@ -32,6 +32,9 @@ from .simsets import SetSpec, build, deviation_series, similarity
 
 _KINDS = ("primes", "perturbed", "shifted", "file")
 
+# Rows in one prob table; a row near n = 1e6 takes about 1 ms.
+PROB_MAX_ROWS = 10_000
+
 # Report-header keys per command, in output order; the set spec follows them.
 # --workers and --out stay out: report bodies must be byte-identical for any
 # worker count, and the destination is not part of the experiment.
@@ -182,6 +185,10 @@ def _run_prob(args: argparse.Namespace) -> int:
     if args.n_max is not None:
         step = args.n_step or max(1, (args.n_max - args.n) // 100)
         ns = range(args.n, args.n_max + 1, step)
+        if len(ns) > PROB_MAX_ROWS:
+            raise DomainError(
+                f"--n to --n-max in steps of {step} gives {len(ns)} rows; the cap is {PROB_MAX_ROWS}"
+            )
     else:
         ns = [args.n]
     rows = model_table(ns, p_max=args.p_max, damping_c=damping)

@@ -5,9 +5,9 @@ universe [1, limit]. Membership is a packed uint64 bitset (bit i of word w
 is the integer 64*w + i), rank queries use per-word prefix popcounts, and
 the sorted element array is kept for ordered scans.
 
-The module also owns the shared on-disk set format and the packed-window
-bit helpers (aligned and reversed extraction) that the Goldbach checker
-builds its sweep and intersection counts on.
+The module also owns the shared on-disk set format, the packed-window bit
+helpers and the cached bit-reversals that the Goldbach checker builds its
+sweep and intersection counts on.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class NumberSet:
     :meth:`NumberSet.from_elements`, or :func:`load_set`.
     """
 
-    __slots__ = ("limit", "elements", "_words", "_cum", "_rev")
+    __slots__ = ("limit", "elements", "_words", "_cum", "_rev", "_slot")
 
     def __init__(self, words: np.ndarray, elements: np.ndarray, limit: int):
         counts = np.bitwise_count(words).astype(np.int64)
@@ -55,6 +55,7 @@ class NumberSet:
         self._words = words
         self._cum = cum
         self._rev: np.ndarray | None = None
+        self._slot: tuple[int, np.ndarray] | None = None
 
     def reversed_words(self) -> np.ndarray:
         """Full bit-reversal of the membership bitset, cached on first use.
@@ -70,6 +71,29 @@ class NumberSet:
             rev.flags.writeable = False
             self._rev = rev
         return self._rev
+
+    def shifted_reversal(self, s: int) -> np.ndarray:
+        """The bit-reversal read from bit s - 64, cached in one slot.
+
+        Word k of the result is bits [64k + s - 64, 64k + s - 1] of
+        reversed_words(), bits outside it reading 0, so any window of the
+        reversal that starts at bit 64q + s (q >= -1) is the aligned slice
+        from word q + 1. The slot holds one s at a time; a new s frees the
+        old array before building its own. Under threads, callers that
+        share the set should build each s before they read it.
+        """
+        slot = self._slot
+        if slot is not None and slot[0] == s:
+            return slot[1]
+        self._slot = slot = None
+        rev = self.reversed_words()
+        out = np.zeros(rev.size + 1, dtype=np.uint64)
+        # numpy shifts by 64 give 0, so s = 0 needs no branch
+        np.left_shift(rev, _U64(64 - s), out=out[:-1])
+        out[1:] |= rev >> _U64(s)
+        out.flags.writeable = False
+        self._slot = (s, out)
+        return out
 
     @classmethod
     def from_elements(
@@ -178,18 +202,6 @@ def extract_window(words: np.ndarray, a: int, b: int) -> np.ndarray:
     if r:
         out[-1] &= _U64((1 << r) - 1)
     return out
-
-
-def extract_window_reversed(words: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Packed bits of [a, b] in reversed order: bit j of the result is bit (b - j)."""
-    fwd = extract_window(words, a, b)
-    length = b - a + 1
-    total = fwd.size << 6
-    # full bit-reversal: reverse the byte order, then the bits within each byte
-    rev_bytes = _REV8[fwd.view(np.uint8)[::-1]]
-    rev = rev_bytes.view(np.uint64)
-    # bit j of the target is bit (total - length + j) of the reversed buffer
-    return extract_window(rev, total - length, total - 1)
 
 
 def window_bools(words: np.ndarray, a: int, b: int) -> np.ndarray:
@@ -312,8 +324,11 @@ def load_set(path: str) -> NumberSet:
         raise SetFormatError(path, 1, "no elements and no limit header")
     try:
         return NumberSet.from_elements(np.frombuffer(values, dtype=np.int64), limit)
-    except MemoryError:
-        # the bitset is sized by the limit header, or else by the last element
+    except DomainError:
+        raise
+    except (MemoryError, ValueError):
+        # the bitset is sized by the limit header, or else by the last
+        # element; numpy raises ValueError past its largest array dimension
         size = limit if limit is not None else prev
         raise SetFormatError(
             path, limit_line, f"cannot allocate the {((size >> 6) + 1) * 8}-byte bitset for limit {size}"

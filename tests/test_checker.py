@@ -186,6 +186,29 @@ class TestPairCount:
             assert pair_count(ns, even) == brute_force_count(members, even), even
 
 
+    @given(data=st.data(), ns=random_sets())
+    @settings(max_examples=80, deadline=None)
+    def test_interleaved_residues_replace_the_slot(self, data, ns):
+        # one even per residue mod 64 in a drawn order, twice over, so each
+        # call replaces the one shifted-reversal slot the last call built
+        members = set(ns.elements.tolist())
+        evens = np.arange(2, 2 * ns.limit + 1, 2)
+        for r in data.draw(st.permutations(range(0, 64, 2))) * 2:
+            group = evens[evens % 64 == r].tolist()
+            if group:
+                even = data.draw(st.sampled_from(group))
+                assert pair_count(ns, even) == brute_force_count(members, even), even
+
+    @given(ns=random_sets())
+    @settings(max_examples=80, deadline=None)
+    def test_evens_near_twice_the_limit(self, ns):
+        # the reversed window of an even near 2 * limit starts up to 63
+        # bits below bit 0 of the reversal; 65 evens cover every residue
+        members = set(ns.elements.tolist())
+        for even in range(2 * ns.limit, max(2 * ns.limit - 130, 0), -2):
+            assert pair_count(ns, even) == brute_force_count(members, even), even
+
+
 class TestCheckRange:
     def test_primes_clean_to_1e4(self, primes_10k):
         report = check_range(primes_10k, 4, 10_000)
@@ -253,6 +276,25 @@ class TestCheckRange:
             assert bucket.sampled == len(counts)
             assert bucket.min_reps == min(counts)
             assert bucket.mean_reps == pytest.approx(np.mean(counts))
+        threaded = check_range(primes_10k, 4, 1000, slow_mode=True, bucket_width=500, workers=2)
+        assert threaded.buckets == report.buckets
+
+    @given(data=st.data(), ns=random_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_slow_mode_all_residues_any_workers(self, data, ns):
+        # slow mode counts every even, so each residue in the range gets its slot
+        lo = 2 * data.draw(st.integers(min_value=2, max_value=ns.limit))
+        hi = 2 * data.draw(st.integers(min_value=lo // 2, max_value=ns.limit))
+        width = 2 * data.draw(st.integers(min_value=1, max_value=hi // 2))
+        one = check_range(ns, lo, hi, slow_mode=True, bucket_width=width)
+        two = check_range(ns, lo, hi, slow_mode=True, bucket_width=width, workers=2)
+        assert (one.failures, one.buckets) == (two.failures, two.buckets)
+        members = set(ns.elements.tolist())
+        for bucket in one.buckets:
+            counts = [brute_force_count(members, e) for e in range(bucket.lo, bucket.hi + 1, 2)]
+            assert bucket.sampled == len(counts)
+            assert bucket.min_reps == min(counts)
+            assert bucket.mean_reps == float(np.mean(np.array(counts, dtype=np.int64)))
 
     def test_bucket_stats_sampling(self, primes_10k):
         report = check_range(primes_10k, 4, 10_000, sample_stride=100)

@@ -1,9 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from primesim.cli import main
+import primesim
+from primesim import cli
+from primesim.cli import PROB_MAX_ROWS, main
 from primesim.numset import NumberSet, load_set, save_set
 from primesim.reports import dump_json, load_json
 
@@ -177,6 +183,15 @@ class TestCheck:
         assert code == 2
         assert "big.txt:1" in err and "bitset" in err
 
+    def test_limit_header_past_numpy_dimensions_is_input_error(self, capsys, tmp_path):
+        set_path = tmp_path / "huge.txt"
+        set_path.write_text(f"limit={2**70}\n5\n")
+        code, _, err = run_cli(
+            capsys, "check", "--set", "file", "--path", str(set_path), "--lo", "4", "--hi", "10"
+        )
+        assert code == 2
+        assert "huge.txt:1" in err and "bitset" in err
+
     def test_unknown_set_token(self, capsys):
         code, _, err = run_cli(
             capsys, "check", "--set", "nonsense", "--lo", "4", "--hi", "10"
@@ -242,6 +257,23 @@ class TestProb:
         assert out == ""
         assert "--n-step" in err
 
+    def test_row_count_capped_before_any_row(self, capsys):
+        code, out, err = run_cli(
+            capsys, "prob", "--n", "1000", "--n-max", "100000000000", "--n-step", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert str(PROB_MAX_ROWS) in err
+
+    def test_row_count_at_cap_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "PROB_MAX_ROWS", 5)
+        argv = ("prob", "--n", "1000", "--n-step", "1000", "--format", "csv", "--n-max")
+        code, out, _ = run_cli(capsys, *argv, "5000")
+        assert code == 0
+        assert len([line for line in out.splitlines() if not line.startswith("#")]) == 6
+        code, out, err = run_cli(capsys, *argv, "6000")
+        assert code == 2
+        assert out == "" and "6 rows; the cap is 5" in err
 
 class TestTail:
     def test_paper_scale_value(self, capsys):
@@ -319,3 +351,20 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_main(self, capsys, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(primesim.__file__).parents[1]))
+        argv = ["prob", "--n", "10000", "--pmax", "2"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "primesim", *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path, check=False,
+        )
+        code, out, _ = run_cli(capsys, *argv)
+        assert proc.returncode == code == 0 and proc.stdout == out
+        proc = subprocess.run(
+            [sys.executable, "-m", "primesim", "tail", "--from", "50"],
+            capture_output=True, text=True, env=env, cwd=tmp_path, check=False,
+        )
+        assert proc.returncode == 2 and proc.stderr.startswith("primesim tail:")

@@ -7,7 +7,6 @@ from primesim.errors import DomainError, SetFormatError
 from primesim.numset import (
     NumberSet,
     extract_window,
-    extract_window_reversed,
     load_set,
     primes_up_to,
     save_set,
@@ -151,9 +150,6 @@ class TestBitWindows:
         got = np.unpackbits(fwd.view(np.uint8), bitorder="little")
         assert np.array_equal(got[: b - a + 1], padded)
         assert not got[b - a + 1 :].any()
-        rev = extract_window_reversed(words, a, b)
-        got_rev = np.unpackbits(rev.view(np.uint8), count=b - a + 1, bitorder="little")
-        assert np.array_equal(got_rev, padded[::-1])
 
     def test_window_beyond_source_reads_zero(self):
         words = np.array([np.uint64(0xFFFFFFFFFFFFFFFF)], dtype=np.uint64)
@@ -169,10 +165,33 @@ class TestBitWindows:
     def test_reversed_words_route_matches_oneshot(self, primes_10k):
         rev = primes_10k.reversed_words()
         total = primes_10k._words.size << 6
+        bits = np.unpackbits(primes_10k._words.view(np.uint8), bitorder="little")
         for a, b in [(1, 100), (17, 1000), (5000, 9999)]:
             via_cache = extract_window(rev, total - 1 - b, total - 1 - a)
-            direct = extract_window_reversed(primes_10k._words, a, b)
-            assert np.array_equal(via_cache, direct)
+            got = np.unpackbits(via_cache.view(np.uint8), count=b - a + 1, bitorder="little")
+            assert np.array_equal(got, bits[a : b + 1][::-1])
+
+    def test_shifted_reversal_reads_from_bit_s_minus_64(self):
+        ns = NumberSet.from_elements([1, 2, 63, 64, 65, 127, 200, 255], limit=255)
+        bits = np.unpackbits(ns._words.view(np.uint8), bitorder="little")
+        total = bits.size
+        padded = np.concatenate([np.zeros(64, np.uint8), bits[::-1], np.zeros(128, np.uint8)])
+        for s in range(64):
+            slot = ns.shifted_reversal(s)
+            assert slot.size == ns._words.size + 1
+            got = np.unpackbits(slot.view(np.uint8), bitorder="little")
+            # bit i of the slot is bit i + s - 64 of the reversal; below 0 reads 0
+            assert np.array_equal(got, padded[s : s + total + 64]), s
+
+    def test_shifted_reversal_keeps_one_slot(self, primes_10k):
+        ns = NumberSet.from_elements(primes_10k.elements, primes_10k.limit)
+        first = ns.shifted_reversal(7)
+        assert ns.shifted_reversal(7) is first
+        assert not first.flags.writeable
+        other = ns.shifted_reversal(9)
+        assert other is not first and ns.shifted_reversal(9) is other
+        assert ns.shifted_reversal(7) is not first
+        assert np.array_equal(ns.shifted_reversal(7), first)
 
     def test_bits_at(self, primes_10k):
         xs = np.array([2, 3, 4, 9973, 9974], dtype=np.int64)
@@ -228,6 +247,19 @@ class TestSetFile:
         path = tmp_path / "huge.txt"
         path.write_text(f"# comment\nlimit={2**62}\n5\n")
         with pytest.raises(SetFormatError, match=r"huge.txt:2: .*576460752303423496-byte bitset"):
+            load_set(str(path))
+
+    def test_limit_header_past_numpy_dimensions_reports_line(self, tmp_path):
+        # 2^69 needs 2^63 + 1 words: numpy raises ValueError, not MemoryError
+        path = tmp_path / "huge.txt"
+        path.write_text(f"limit={2**69}\n5\n")
+        with pytest.raises(SetFormatError, match=r"huge.txt:1: .*73786976294838206472-byte bitset"):
+            load_set(str(path))
+
+    def test_bad_limit_header_stays_domain_error(self, tmp_path):
+        path = tmp_path / "zero.txt"
+        path.write_text("limit=0\n")
+        with pytest.raises(DomainError, match="limit must be >= 1"):
             load_set(str(path))
 
     def test_empty_needs_header(self, tmp_path):
