@@ -1,13 +1,14 @@
-"""Core integer-set structure: packed bitset with O(1) rank, plus prime sieving.
+"""Core integer-set structure: packed bitset plus sorted elements, and prime sieving.
 
 A NumberSet is an immutable sorted set of naturals >= 1 living in the
 universe [1, limit]. Membership is a packed uint64 bitset (bit i of word w
-is the integer 64*w + i), rank queries use per-word prefix popcounts, and
-the sorted element array is kept for ordered scans.
+is the integer 64*w + i), rank queries binary-search the sorted element
+array, which is also kept for ordered scans.
 
 The module also owns the shared on-disk set format, the packed-window bit
-helpers and the cached bit-reversals that the Goldbach checker builds its
-sweep and intersection counts on.
+helpers, the cached bit-reversal and the two parity classes (the even and
+the odd members, each packed at half resolution) that the Goldbach
+checker builds its sweep and representation counts on.
 """
 
 from __future__ import annotations
@@ -29,9 +30,28 @@ DEFAULT_SEGMENT_SIZE = 1 << 20
 _ONE = np.uint64(1)
 _U64 = np.uint64
 
+# words (or elements) per block in the passes that would otherwise hold
+# full-size temporaries: building a bitset from elements, unzipping parity
+# classes, building their slots; even, so a block of source words fills
+# whole class words
+BLOCK_WORDS = 1 << 14
+
 # bit-reversal of a byte, for reversed-window extraction
 _REV8 = np.array(
     [int(f"{i:08b}"[::-1], 2) for i in range(256)], dtype=np.uint8
+)
+
+# bits 0, 2, ..., 62, and the steps that pack them into a word's low half
+_EVEN_BITS = _U64(0x5555_5555_5555_5555)
+_UNZIP_STEPS = tuple(
+    (_U64(shift), _U64(mask))
+    for shift, mask in (
+        (1, 0x3333_3333_3333_3333),
+        (2, 0x0F0F_0F0F_0F0F_0F0F),
+        (4, 0x00FF_00FF_00FF_00FF),
+        (8, 0x0000_FFFF_0000_FFFF),
+        (16, 0x0000_0000_FFFF_FFFF),
+    )
 )
 
 
@@ -42,28 +62,23 @@ class NumberSet:
     :meth:`NumberSet.from_elements`, or :func:`load_set`.
     """
 
-    __slots__ = ("limit", "elements", "_words", "_cum", "_rev", "_slot")
+    __slots__ = ("limit", "elements", "_words", "_rev", "_classes")
 
     def __init__(self, words: np.ndarray, elements: np.ndarray, limit: int):
-        counts = np.bitwise_count(words).astype(np.int64)
-        cum = np.zeros(words.size, dtype=np.int64)
-        np.cumsum(counts[:-1], out=cum[1:])
-        for arr in (words, elements, cum):
+        for arr in (words, elements):
             arr.flags.writeable = False
         self.limit = int(limit)
         self.elements = elements
         self._words = words
-        self._cum = cum
         self._rev: np.ndarray | None = None
-        self._slot: tuple[int, np.ndarray] | None = None
+        self._classes: tuple[ParityClass, ParityClass] | None = None
 
     def reversed_words(self) -> np.ndarray:
         """Full bit-reversal of the membership bitset, cached on first use.
 
         Bit j of the result is bit (T - 1 - j) of the bitset, T = 64 * word
-        count. Lets reversed-window reads become aligned forward reads in
-        the pair-counting hot path. A benign race under threads: both
-        sides compute the same array.
+        count, so a reversed window becomes an aligned forward read. A
+        benign race under threads: both sides compute the same array.
         """
         if self._rev is None:
             rev_bytes = _REV8[self._words.view(np.uint8)[::-1]]
@@ -72,28 +87,15 @@ class NumberSet:
             self._rev = rev
         return self._rev
 
-    def shifted_reversal(self, s: int) -> np.ndarray:
-        """The bit-reversal read from bit s - 64, cached in one slot.
+    def parity_class(self, c: int) -> "ParityClass":
+        """The elements 2i + c (c = 0 even, 1 odd), packed at bit i.
 
-        Word k of the result is bits [64k + s - 64, 64k + s - 1] of
-        reversed_words(), bits outside it reading 0, so any window of the
-        reversal that starts at bit 64q + s (q >= -1) is the aligned slice
-        from word q + 1. The slot holds one s at a time; a new s frees the
-        old array before building its own. Under threads, callers that
-        share the set should build each s before they read it.
+        Both classes are unzipped from the bitset on first use and cached;
+        like reversed_words, a race under threads only builds them twice.
         """
-        slot = self._slot
-        if slot is not None and slot[0] == s:
-            return slot[1]
-        self._slot = slot = None
-        rev = self.reversed_words()
-        out = np.zeros(rev.size + 1, dtype=np.uint64)
-        # numpy shifts by 64 give 0, so s = 0 needs no branch
-        np.left_shift(rev, _U64(64 - s), out=out[:-1])
-        out[1:] |= rev >> _U64(s)
-        out.flags.writeable = False
-        self._slot = (s, out)
-        return out
+        if self._classes is None:
+            self._classes = tuple(ParityClass(w) for w in _unzip(self._words))
+        return self._classes[c]
 
     @classmethod
     def from_elements(
@@ -107,7 +109,7 @@ class NumberSet:
             raise DomainError("elements must be one-dimensional")
         if elems.size and elems[0] < 1:
             raise DomainError("elements must be >= 1")
-        if elems.size and np.any(np.diff(elems) <= 0):
+        if np.any(elems[1:] <= elems[:-1]):
             raise DomainError("elements must be strictly increasing")
         if limit is None:
             if elems.size == 0:
@@ -118,7 +120,9 @@ class NumberSet:
         if limit < 1:
             raise DomainError("limit must be >= 1")
         words = np.zeros((limit >> 6) + 1, dtype=np.uint64)
-        np.bitwise_or.at(words, elems >> 6, _ONE << (elems & 63).astype(np.uint64))
+        for lo in range(0, elems.size, BLOCK_WORDS):
+            block = elems[lo : lo + BLOCK_WORDS]
+            np.bitwise_or.at(words, block >> 6, _ONE << (block & 63).astype(np.uint64))
         return cls(words, elems, limit)
 
     def __len__(self) -> int:
@@ -144,9 +148,7 @@ class NumberSet:
         """Number of elements <= n, for 0 <= n <= limit."""
         if not 0 <= n <= self.limit:
             raise DomainError(f"rank argument {n} outside [0, {self.limit}]")
-        w = n >> 6
-        mask = _U64((2 << (n & 63)) - 1)
-        return int(self._cum[w]) + int((self._words[w] & mask).bit_count())
+        return int(np.searchsorted(self.elements, n, side="right"))
 
     def rank_many(self, ns: np.ndarray) -> np.ndarray:
         """Vector rank via binary search on the element array."""
@@ -161,6 +163,94 @@ class NumberSet:
         if not len(self):
             raise DomainError("empty set has no maximum")
         return int(self.elements[-1])
+
+
+class ParityClass:
+    """One parity class c of a NumberSet: bit i of `words` is the integer 2i + c.
+
+    A class of k members with k(k + 1)/2 <= its word count is sparse (the
+    primes' even class is {2}, a perturbed set's odd class one element):
+    `pair_sums` maps each index sum i1 + i2, i1 <= i2, of two members to
+    how many such pairs there are, so its counts are dict lookups, and its
+    table holds no more entries than the class has words. A dense class
+    has `pair_sums` None and is counted through reversal_slot.
+    """
+
+    __slots__ = ("words", "pair_sums", "_shifted")
+
+    def __init__(self, words: np.ndarray):
+        words.flags.writeable = False
+        self.words = words
+        k = int(np.bitwise_count(words).sum())
+        self.pair_sums: dict[int, int] | None = (
+            _pair_sums(words) if k * (k + 1) // 2 <= words.size else None
+        )
+        self._shifted: tuple[int, np.ndarray] | None = None
+
+    def reversal_slot(self, s: int) -> np.ndarray:
+        """The class's bit-reversal read from bit key - 64, key = ~s & 63.
+
+        Bit j of the reversal is bit T - 1 - j of `words`, T = 64 *
+        words.size. Word k of the result is bits [64k + key - 64,
+        64k + key - 1] of the reversal, bits outside it reading 0, so the
+        reversed window that pairs index i1 with s - i1 from a word-aligned
+        i1 is an aligned slice; every sum congruent to s mod 64 shares it.
+        The slot holds one key at a time. A new key frees the old array,
+        then builds its own block by block, so the build holds no second
+        full-size array. Threads that share the class still read correct
+        slots, but rebuild one whenever their keys alternate.
+        """
+        key = ~s & 63
+        slot = self._shifted
+        if slot is not None and slot[0] == key:
+            return slot[1]
+        self._shifted = slot = None
+        words = self.words
+        n = words.size
+        out = np.empty(n + 1, dtype=np.uint64)
+        down, up = _U64(key), _U64(64 - key)  # numpy shifts by 64 give 0
+        for k0 in range(0, n + 1, BLOCK_WORDS):
+            k1 = min(k0 + BLOCK_WORDS, n + 1)
+            # reversal words k0 - 1 .. k1 - 1; those outside [0, n) read 0
+            rev = np.zeros(k1 - k0 + 1, dtype=np.uint64)
+            a, b = max(k0 - 1, 0), min(k1, n)
+            rev_bytes = _REV8[words[n - b : n - a].view(np.uint8)[::-1]]
+            rev[a - k0 + 1 : b - k0 + 1] = rev_bytes.view(np.uint64)
+            np.left_shift(rev[1:], up, out=out[k0:k1])
+            out[k0:k1] |= rev[:-1] >> down
+        out.flags.writeable = False
+        self._shifted = (key, out)
+        return out
+
+
+def _pair_sums(words: np.ndarray) -> dict[int, int]:
+    """{i1 + i2: number of member pairs i1 <= i2} of a packed bitset."""
+    nz = np.flatnonzero(words)
+    bits = np.unpackbits(words[nz].view(np.uint8), bitorder="little").reshape(-1, 64)
+    rows, cols = np.nonzero(bits)
+    idx = (nz[rows] << 6) + cols
+    i1, i2 = np.triu_indices(idx.size)
+    sums, counts = np.unique(idx[i1] + idx[i2], return_counts=True)
+    return dict(zip(sums.tolist(), counts.tolist()))
+
+
+def _unzip(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both parity classes of a bitset: bit i of class c is bit 2i + c of words.
+
+    Block by block, bits c, c + 2, ..., c + 62 of each word are masked and
+    packed into its low half by five shift-or-mask steps; class word j is
+    then the low halves of words 2j and 2j + 1.
+    """
+    classes = tuple(np.zeros((words.size + 1) >> 1, dtype=np.uint64) for _ in range(2))
+    for lo in range(0, words.size, BLOCK_WORDS):
+        src = words[lo : lo + BLOCK_WORDS]
+        for c, out in enumerate(classes):
+            x = (src >> _U64(c)) & _EVEN_BITS
+            for shift, mask in _UNZIP_STEPS:
+                x |= x >> shift
+                x &= mask
+            out.view(np.uint32)[lo : lo + src.size] = x.view(np.uint32)[::2]
+    return classes
 
 
 def bits_at(words: np.ndarray, xs: np.ndarray) -> np.ndarray:

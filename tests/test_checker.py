@@ -15,7 +15,7 @@ from primesim.checker import (
     pair_count,
 )
 from primesim.errors import DomainError
-from primesim.numset import NumberSet, primes_up_to
+from primesim.numset import NumberSet, ParityClass, primes_up_to
 from primesim.simsets import perturb_primes
 
 from conftest import sparse_random_set
@@ -37,7 +37,13 @@ def brute_force_count(members: set[int], even2n: int) -> int:
 
 @st.composite
 def random_sets(draw) -> NumberSet:
-    """Sparse or mostly-even random sets; limits include 64k - 1 and 64k."""
+    """Random sets in three shapes; limits include 64k - 1 and 64k.
+
+    Both parity classes dense; mostly even (odd members kept at 5% of the
+    density, like a perturbed set); or prime-like, with a drawn handful of
+    0-6 even members. The minority class lands on either side of the
+    parity classes' sparse rule, k(k + 1)/2 <= class word count.
+    """
     limit = draw(
         st.one_of(
             st.integers(min_value=2, max_value=700),
@@ -46,10 +52,16 @@ def random_sets(draw) -> NumberSet:
         )
     )
     density = draw(st.floats(min_value=0.01, max_value=1.0))
-    odd_share = draw(st.sampled_from([1.0, 0.05]))  # 0.05: mostly-even sets
+    shape = draw(st.sampled_from(["dense", "mostly-even", "prime-like"]))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     x = np.arange(1, limit + 1)
+    odd_share = 0.05 if shape == "mostly-even" else 1.0
     keep = rng.random(limit) < np.where(x % 2 == 1, density * odd_share, density)
+    if shape == "prime-like":
+        evens = x[x % 2 == 0]
+        keep[x % 2 == 0] = False
+        few = draw(st.integers(min_value=0, max_value=min(6, evens.size)))
+        keep[rng.choice(evens, size=few, replace=False) - 1] = True
     elems = x[keep] if keep.any() else np.array([limit])
     return NumberSet.from_elements(elems, limit)
 
@@ -189,12 +201,13 @@ class TestPairCount:
     @given(data=st.data(), ns=random_sets())
     @settings(max_examples=80, deadline=None)
     def test_interleaved_residues_replace_the_slot(self, data, ns):
-        # one even per residue mod 64 in a drawn order, twice over, so each
-        # call replaces the one shifted-reversal slot the last call built
+        # one even per residue of even/2 mod 64 in a drawn order, twice
+        # over, so each call replaces the reversal slot of each dense
+        # parity class that the last call built
         members = set(ns.elements.tolist())
         evens = np.arange(2, 2 * ns.limit + 1, 2)
-        for r in data.draw(st.permutations(range(0, 64, 2))) * 2:
-            group = evens[evens % 64 == r].tolist()
+        for r in data.draw(st.permutations(range(64))) * 2:
+            group = evens[(evens >> 1) % 64 == r].tolist()
             if group:
                 even = data.draw(st.sampled_from(group))
                 assert pair_count(ns, even) == brute_force_count(members, even), even
@@ -203,7 +216,8 @@ class TestPairCount:
     @settings(max_examples=80, deadline=None)
     def test_evens_near_twice_the_limit(self, ns):
         # the reversed window of an even near 2 * limit starts up to 63
-        # bits below bit 0 of the reversal; 65 evens cover every residue
+        # bits below bit 0 of a class's reversal; 65 evens cover every
+        # residue of even/2 mod 64
         members = set(ns.elements.tolist())
         for even in range(2 * ns.limit, max(2 * ns.limit - 130, 0), -2):
             assert pair_count(ns, even) == brute_force_count(members, even), even
@@ -295,6 +309,23 @@ class TestCheckRange:
             assert bucket.sampled == len(counts)
             assert bucket.min_reps == min(counts)
             assert bucket.mean_reps == float(np.mean(np.array(counts, dtype=np.int64)))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_slot_built_once(self, monkeypatch, primes_100k, workers):
+        # the counting pass groups the evens by even/2 mod 64, so the odd
+        # class (the primes' only dense one) builds one slot per residue
+        keys = []
+        build = ParityClass.reversal_slot
+
+        def spy(cls, s):
+            if cls._shifted is None or cls._shifted[0] != ~s & 63:
+                keys.append(~s & 63)
+            return build(cls, s)
+
+        monkeypatch.setattr(ParityClass, "reversal_slot", spy)
+        ns = NumberSet.from_elements(primes_100k.elements, primes_100k.limit)
+        check_range(ns, 4, 100_000, workers=workers, bucket_width=10_000, sample_stride=7)
+        assert sorted(keys) == list(range(64))
 
     def test_bucket_stats_sampling(self, primes_10k):
         report = check_range(primes_10k, 4, 10_000, sample_stride=100)

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primesim import numset
 from primesim.errors import DomainError, SetFormatError
 from primesim.numset import (
     NumberSet,
@@ -105,6 +108,23 @@ class TestNumberSet:
         assert 4 in ns and 5 not in ns
         assert len(ns) == 4
 
+    @pytest.mark.parametrize("block_words", [1, 7, numset.BLOCK_WORDS])
+    def test_from_elements_bitset_matches_sieve(self, monkeypatch, primes_10k, block_words):
+        monkeypatch.setattr(numset, "BLOCK_WORDS", block_words)
+        ns = NumberSet.from_elements(primes_10k.elements, primes_10k.limit)
+        assert np.array_equal(ns._words, primes_10k._words)
+
+    def test_from_elements_holds_no_full_size_temporaries(self):
+        # the copy of the elements and the bitset, plus blocks of temporaries
+        elements = primes_up_to(20_000_000).elements
+        tracemalloc.start()
+        try:
+            ns = NumberSet.from_elements(elements, 20_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ns.elements.nbytes + ns._words.nbytes + 2**20, peak
+
     def test_immutable(self, primes_10k):
         with pytest.raises(ValueError):
             primes_10k.elements[0] = 1
@@ -171,31 +191,119 @@ class TestBitWindows:
             got = np.unpackbits(via_cache.view(np.uint8), count=b - a + 1, bitorder="little")
             assert np.array_equal(got, bits[a : b + 1][::-1])
 
-    def test_shifted_reversal_reads_from_bit_s_minus_64(self):
-        ns = NumberSet.from_elements([1, 2, 63, 64, 65, 127, 200, 255], limit=255)
-        bits = np.unpackbits(ns._words.view(np.uint8), bitorder="little")
-        total = bits.size
-        padded = np.concatenate([np.zeros(64, np.uint8), bits[::-1], np.zeros(128, np.uint8)])
-        for s in range(64):
-            slot = ns.shifted_reversal(s)
-            assert slot.size == ns._words.size + 1
-            got = np.unpackbits(slot.view(np.uint8), bitorder="little")
-            # bit i of the slot is bit i + s - 64 of the reversal; below 0 reads 0
-            assert np.array_equal(got, padded[s : s + total + 64]), s
-
-    def test_shifted_reversal_keeps_one_slot(self, primes_10k):
-        ns = NumberSet.from_elements(primes_10k.elements, primes_10k.limit)
-        first = ns.shifted_reversal(7)
-        assert ns.shifted_reversal(7) is first
-        assert not first.flags.writeable
-        other = ns.shifted_reversal(9)
-        assert other is not first and ns.shifted_reversal(9) is other
-        assert ns.shifted_reversal(7) is not first
-        assert np.array_equal(ns.shifted_reversal(7), first)
-
     def test_bits_at(self, primes_10k):
         xs = np.array([2, 3, 4, 9973, 9974], dtype=np.int64)
         assert bits_at(primes_10k._words, xs).tolist() == [True, True, False, True, False]
+
+
+def unpacked(words: np.ndarray) -> np.ndarray:
+    return np.unpackbits(words.view(np.uint8), bitorder="little")
+
+
+class TestParityClasses:
+    @pytest.mark.parametrize("block_words", [2, 6, numset.BLOCK_WORDS])
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize("offset", [-1, 0, 64])
+    def test_unzip_matches_unpacked_bits(self, monkeypatch, block_words, k, offset):
+        # limits 128k - 1, 128k and 128k + 64 give an even, an odd and an
+        # even word count; small blocks put block edges inside the bitset
+        monkeypatch.setattr(numset, "BLOCK_WORDS", block_words)
+        limit = 128 * k + offset
+        rng = np.random.default_rng(limit)
+        ns = NumberSet.from_elements(np.flatnonzero(rng.random(limit) < 0.4) + 1, limit)
+        bits = unpacked(ns._words)
+        for c in (0, 1):
+            words = ns.parity_class(c).words
+            assert words.size == (ns._words.size + 1) // 2
+            got = unpacked(words)
+            want = bits[c::2]
+            assert np.array_equal(got[: want.size], want), c
+            assert not got[want.size :].any()
+            assert not words.flags.writeable
+
+    def test_sparse_rule_at_its_edge(self):
+        # 3 members, 6 pairs: sparse with 6 class words, dense with 5
+        for limit, sparse in [(64 * 12 - 1, True), (64 * 10 - 1, False)]:
+            ns = NumberSet.from_elements([2, 8, 40, limit], limit)
+            even = ns.parity_class(0)
+            assert even.words.size == (6 if sparse else 5)
+            assert (even.pair_sums is not None) == sparse
+            assert ns.parity_class(1).pair_sums is not None  # one member
+
+    def test_primes_and_perturbed_sets_have_a_sparse_class(self, primes_10k):
+        from primesim.simsets import perturb_primes
+
+        assert primes_10k.parity_class(0).pair_sums == {2: 1}  # 2 + 2
+        assert primes_10k.parity_class(1).pair_sums is None
+        perturbed = perturb_primes(10_000, 1)
+        assert perturbed.parity_class(0).pair_sums is None
+        assert len(perturbed.elements[perturbed.elements % 2 == 1]) == 1
+        assert perturbed.parity_class(1).pair_sums is not None
+
+    @given(
+        members=st.sets(st.integers(min_value=1, max_value=2000), max_size=12),
+        c=st.sampled_from([0, 1]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_pair_sums_match_brute_force(self, members, c):
+        elems = sorted(2 * i + c for i in members if 2 * i + c >= 1)
+        ns = NumberSet.from_elements(elems, 20_000)
+        table = ns.parity_class(c).pair_sums
+        assert table is not None  # 78 pairs at most, 157 class words
+        idx = [(x - c) // 2 for x in elems]
+        brute: dict[int, int] = {}
+        for a in range(len(idx)):
+            for b in range(a, len(idx)):
+                brute[idx[a] + idx[b]] = brute.get(idx[a] + idx[b], 0) + 1
+        assert table == brute
+
+    @pytest.mark.parametrize("block_words", [2, 3, numset.BLOCK_WORDS])
+    def test_reversal_slot_reads_from_bit_key_minus_64(self, monkeypatch, block_words):
+        # 4 class words and a 5-word slot: small blocks put block edges inside it
+        monkeypatch.setattr(numset, "BLOCK_WORDS", block_words)
+        ns = NumberSet.from_elements([1, 2, 63, 64, 65, 127, 200, 255, 301, 509], limit=511)
+        for c in (0, 1):
+            cls = ns.parity_class(c)
+            assert cls.pair_sums is None
+            bits = unpacked(cls.words)
+            total = bits.size
+            padded = np.concatenate([np.zeros(64, np.uint8), bits[::-1], np.zeros(128, np.uint8)])
+            for s in range(64, 192):
+                key = ~s & 63
+                slot = cls.reversal_slot(s)
+                assert slot.size == cls.words.size + 1
+                # bit i of the slot is bit i + key - 64 of the reversal; below 0 reads 0
+                assert np.array_equal(unpacked(slot), padded[key : key + total + 64]), (c, s)
+
+    def test_reversal_slot_keeps_one_slot(self, primes_10k):
+        ns = NumberSet.from_elements(primes_10k.elements, primes_10k.limit)
+        cls = ns.parity_class(1)
+        first = cls.reversal_slot(7)
+        assert cls.reversal_slot(7) is first
+        assert cls.reversal_slot(7 + 64) is first  # sums with one residue share it
+        assert not first.flags.writeable
+        other = cls.reversal_slot(9)
+        assert other is not first and cls.reversal_slot(9) is other
+        assert cls.reversal_slot(7) is not first
+        assert np.array_equal(cls.reversal_slot(7), first)
+
+    def test_reversal_slot_build_holds_no_second_copy(self):
+        # a first slot costs its own bytes plus block temporaries; a new key
+        # frees the old slot before building, so a rebuild adds temporaries only
+        cls = primes_up_to(20_000_000).parity_class(1)
+        slot_bytes = (cls.words.size + 1) * 8
+        tracemalloc.start()
+        try:
+            peaks = []
+            for s in (0, 5):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                cls.reversal_slot(s)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] <= slot_bytes + 2**20, (peaks, slot_bytes)
+        assert peaks[1] <= 2**20, (peaks, slot_bytes)
 
 
 class TestSetFile:
