@@ -1,11 +1,14 @@
+import tempfile
 import tracemalloc
+from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primesim import numset
+from primesim import numset, simsets
 from primesim.errors import DomainError, SetFormatError
 from primesim.numset import (
     NumberSet,
@@ -378,3 +381,210 @@ class TestSetFile:
         path.write_text("limit=9\n")
         ns = load_set(str(path))
         assert len(ns) == 0 and ns.limit == 9
+
+
+def reference_load_set(path: str) -> NumberSet:
+    """The line-by-line loader that load_set replaced, kept as its oracle."""
+    limit: int | None = None
+    limit_line = 1
+    values = array("q")
+    prev = 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if limit is None and not values and line.startswith("limit="):
+                try:
+                    limit = int(line[len("limit=") :])
+                except ValueError:
+                    raise SetFormatError(path, line_no, f"bad limit header {line!r}")
+                limit_line = line_no
+                continue
+            try:
+                value = int(line)
+            except ValueError:
+                raise SetFormatError(path, line_no, f"not an integer: {line!r}")
+            if value <= prev:
+                message = "elements must be strictly ascending" if values else "elements must be >= 1"
+                raise SetFormatError(path, line_no, message)
+            try:
+                values.append(value)
+            except OverflowError:
+                raise SetFormatError(path, line_no, f"element {value} does not fit in int64")
+            if limit is None:
+                limit_line = line_no
+            elif value > limit:
+                raise SetFormatError(path, line_no, f"element {value} exceeds limit {limit}")
+            prev = value
+    if not values and limit is None:
+        raise SetFormatError(path, 1, "no elements and no limit header")
+    try:
+        return NumberSet.from_elements(np.frombuffer(values, dtype=np.int64), limit)
+    except DomainError:
+        raise
+    except (MemoryError, ValueError):
+        # the bitset is sized by the limit header, or else by the last
+        # element; numpy raises ValueError past its largest array dimension
+        size = limit if limit is not None else prev
+        raise SetFormatError(
+            path, limit_line, f"cannot allocate the {((size >> 6) + 1) * 8}-byte bitset for limit {size}"
+        ) from None
+
+
+def _outcome(load, path: str):
+    """(limit, elements) of a load, or the type and text of what it raised."""
+    try:
+        ns = load(path)
+    except (SetFormatError, DomainError, UnicodeDecodeError) as exc:
+        return type(exc), str(exc)
+    return ns.limit, ns.elements.tolist()
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+
+# how an element may be written; each form is one the old loader accepted
+_FORMS = {
+    "plain": str,
+    "zeros": lambda v: "00" + str(v),
+    "plus": lambda v: "+" + str(v),
+    "padded": lambda v: f" \t{v}  ",
+    "nbsp": lambda v: f"\u00a0{v}",
+    "underscore": lambda v: str(v)[:1] + "_" + str(v)[1:] if v >= 10 else str(v),
+    "arabic": lambda v: str(v).translate(_ARABIC_INDIC),
+}
+
+# values stay at most 10^6 or at least 10^17: no drawn limit or last element
+# sizes a bitset that numpy could really allocate, past a few hundred KB
+_SMALL_VALUES = st.integers(1, 10**6)
+_VALUES = st.one_of(
+    st.integers(1, 1000),
+    _SMALL_VALUES,
+    st.integers(10**17 - 3, 10**17 + 3),
+    st.integers(10**18 - 3, 10**18 + 3),
+    st.integers(2**63 - 3, 2**63 + 3),
+    st.integers(10**19 - 3, 10**19 + 3),
+)
+
+# lines that hold no element, and lines the loader must refuse
+_BLANK_LINES = ["", "   ", "\t", "# comment", "#limit=5", "  # indented comment"]
+_BAD_LINES = [
+    "limit=abc", "limit=", "limit=7", "limit=-1", "0", "-3", "00", "x12", "1 2", "12a",
+    "1__0", "\u00bd", "\ufeff5", "5\x00", "\uff15",  # the last is a fullwidth 5
+]
+_FAULTS = ["repeat", "down", "zero", "negative", "stray", "bad line", "bad byte"]
+
+
+@st.composite
+def set_files(draw) -> bytes:
+    """Bytes of a set file with odd lines mixed in and at most one fault."""
+    big = draw(st.booleans())  # else every element loads into a small bitset
+    values = sorted(draw(st.lists(_VALUES if big else _SMALL_VALUES, max_size=25, unique=True)))
+    fault = draw(st.none() | st.sampled_from(_FAULTS))
+    at = draw(st.integers(0, max(len(values) - 1, 0)))
+    if values and fault in ("repeat", "down", "zero", "negative", "stray"):
+        v = values[at]
+        values[at] = {"repeat": values[at - 1] if at else v, "down": v - 2, "zero": 0,
+                      "negative": -v, "stray": draw(_VALUES)}[fault]
+    lines = [_FORMS[draw(st.sampled_from(sorted(_FORMS)))](v) for v in values]
+    for _ in range(draw(st.integers(0, 6))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_BLANK_LINES)))
+    if fault == "bad line":
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_BAD_LINES)))
+    if draw(st.booleans()):
+        top = max(values, default=10)
+        header = draw(st.sampled_from([top, top - 1, top + 5, 10**6, 2**63, -2]))
+        lines.insert(draw(st.sampled_from([0, 0, 1, len(lines)])), f"limit={header}")
+    ends = [draw(st.sampled_from(["\n", "\n", "\r\n", "\r"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and draw(st.booleans()):
+        text = text[: -len(ends[-1])]  # no final newline
+    data = text.encode("utf-8")
+    if fault == "bad byte":
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data
+
+
+class TestBlockParsedLoad:
+    """load_set against reference_load_set, with lines straddling block edges."""
+
+    @pytest.mark.parametrize("block_chars", [1, 7, 64, numset.LOAD_BLOCK_CHARS])
+    @settings(max_examples=150, deadline=None)
+    @given(data=set_files())
+    def test_matches_reference_loader(self, block_chars, data):
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numset, "LOAD_BLOCK_CHARS", block_chars)
+            path = Path(tmp) / "set.txt"
+            path.write_bytes(data)
+            assert _outcome(load_set, str(path)) == _outcome(reference_load_set, str(path))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "limit=20\n# c\n\n3\r\n5\r7\n+11\n 13 \n1_7\n0019",
+            f"{10**17 + 1}\n{2**63 - 1}\n",  # 18 and 19 digits, both fit
+            f"{10**17 + 1}\n{2**63}\n",
+            f"{10**18}\n{10**19}\n",  # 19 and 20 digits
+            "3\nlimit=9\n5\n",  # a header after an element
+            "limit=9\nlimit=10\n5\n",  # a second header
+            "limit=9\n3\n10\n2\n",  # over the limit before a descent
+            "limit=9\n3\n2\n10\n",  # a descent before going over
+            "5\n5\n",
+            "0\n",
+            "\u0663\n\u0665\n",
+            "limit=0x10\n5\n",
+            "x12\n0\n",  # a bad line before a bad element
+            "limit=-1\n0\n",  # 0 fails both checks
+            "limit=5\n 3 \n\u00bd\n9\n",
+        ],
+    )
+    @pytest.mark.parametrize("block_chars", [1, 7, 64, numset.LOAD_BLOCK_CHARS])
+    def test_examples_match_reference_loader(self, tmp_path, monkeypatch, text, block_chars):
+        monkeypatch.setattr(numset, "LOAD_BLOCK_CHARS", block_chars)
+        path = tmp_path / "set.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(load_set, str(path)) == _outcome(reference_load_set, str(path))
+
+    def test_many_blocks_match_reference_loader(self, tmp_path, monkeypatch):
+        # a perturbed set with odd lines and a fault far into the file
+        monkeypatch.setattr(numset, "LOAD_BLOCK_CHARS", 4096)
+        ns = simsets.perturb_primes(200_000, 3)
+        path = tmp_path / "set.txt"
+        save_set(ns, str(path), header_comments=["a", "b"])
+        assert _outcome(load_set, str(path)) == (ns.limit, ns.elements.tolist())
+        lines = path.read_text().split("\n")
+        lines[9000] = f" {lines[9000]} "
+        lines[12_000] = lines[11_999]
+        path.write_text("\n".join(lines))
+        assert _outcome(load_set, str(path)) == _outcome(reference_load_set, str(path))
+        assert "set.txt:12001: elements must be strictly ascending" in _outcome(load_set, str(path))[1]
+
+    def test_loaded_elements_are_not_copied(self, tmp_path):
+        ns = NumberSet.from_elements([2, 3, 5, 7], limit=10)
+        path = tmp_path / "set.txt"
+        save_set(ns, str(path), header_comments=["c"])
+        loaded = load_set(str(path))
+        # the array is the one parsed into, trimmed in place to its elements
+        assert loaded.elements.flags.owndata and loaded.elements.size == 4
+        assert not loaded.elements.flags.writeable
+
+    def test_from_elements_copies_and_leaves_the_array_writeable(self):
+        elems = np.array([2, 3, 5], dtype=np.int64)
+        ns = NumberSet.from_elements(elems, limit=10)
+        assert elems.flags.writeable
+        elems[0] = 1
+        assert ns.elements.tolist() == [2, 3, 5]
+
+    def test_heap_peak_is_the_result_plus_two_mb(self, tmp_path):
+        # no second full-size copy of the elements; blocks are bounded
+        path = tmp_path / "set.txt"
+        save_set(simsets.perturb_primes(1_000_000, 1), str(path))
+        tracemalloc.start()
+        try:
+            ns = load_set(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ns) > 70_000
+        assert peak <= ns.elements.nbytes + ns._words.nbytes + 2 * 2**20, peak
