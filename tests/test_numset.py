@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primesim import numset, simsets
+from primesim import _setfile, numset, simsets
 from primesim.errors import DomainError, SetFormatError
 from primesim.numset import (
     NumberSet,
@@ -509,12 +509,12 @@ def set_files(draw) -> bytes:
 class TestBlockParsedLoad:
     """load_set against reference_load_set, with lines straddling block edges."""
 
-    @pytest.mark.parametrize("block_chars", [1, 7, 64, numset.LOAD_BLOCK_CHARS])
+    @pytest.mark.parametrize("block_chars", [1, 7, 64, _setfile.BLOCK_CHARS])
     @settings(max_examples=150, deadline=None)
     @given(data=set_files())
     def test_matches_reference_loader(self, block_chars, data):
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-            mp.setattr(numset, "LOAD_BLOCK_CHARS", block_chars)
+            mp.setattr(_setfile, "BLOCK_CHARS", block_chars)
             path = Path(tmp) / "set.txt"
             path.write_bytes(data)
             assert _outcome(load_set, str(path)) == _outcome(reference_load_set, str(path))
@@ -539,16 +539,16 @@ class TestBlockParsedLoad:
             "limit=5\n 3 \n\u00bd\n9\n",
         ],
     )
-    @pytest.mark.parametrize("block_chars", [1, 7, 64, numset.LOAD_BLOCK_CHARS])
+    @pytest.mark.parametrize("block_chars", [1, 7, 64, _setfile.BLOCK_CHARS])
     def test_examples_match_reference_loader(self, tmp_path, monkeypatch, text, block_chars):
-        monkeypatch.setattr(numset, "LOAD_BLOCK_CHARS", block_chars)
+        monkeypatch.setattr(_setfile, "BLOCK_CHARS", block_chars)
         path = tmp_path / "set.txt"
         path.write_bytes(text.encode("utf-8"))
         assert _outcome(load_set, str(path)) == _outcome(reference_load_set, str(path))
 
     def test_many_blocks_match_reference_loader(self, tmp_path, monkeypatch):
         # a perturbed set with odd lines and a fault far into the file
-        monkeypatch.setattr(numset, "LOAD_BLOCK_CHARS", 4096)
+        monkeypatch.setattr(_setfile, "BLOCK_CHARS", 4096)
         ns = simsets.perturb_primes(200_000, 3)
         path = tmp_path / "set.txt"
         save_set(ns, str(path), header_comments=["a", "b"])
