@@ -8,9 +8,10 @@ per-line rules. Each block's elements are then checked as vectors (>= 1,
 above the previous one, within the limit header), and the first failing
 line in file order raises.
 
-It is a module of its own because a module's compile-time peak grows with
-its size: inside numset it raised the peak RSS of every process, set file
-or not, by about 0.3 MB when bytecode is not cached.
+It is a module of its own, imported by load_set on first use, because a
+module's compile-time peak grows with its size: inside numset it raised
+the peak RSS of every process, set file or not, by about 0.3 MB when
+bytecode is not cached.
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ from typing import Iterable
 
 import numpy as np
 
-from . import _setfile
 from .errors import DomainError, SetFormatError
 
 if sys.byteorder != "little":
@@ -385,8 +384,11 @@ def load_set(path: str) -> NumberSet:
 
     _setfile.read parses the file into one int64 array, checking each
     element (>= 1, above the previous one, within the limit header); the
-    NumberSet then keeps that array without a copy.
+    NumberSet then keeps that array without a copy. The parser is imported
+    on first use, so a process that reads no set file never compiles it.
     """
+    from . import _setfile
+
     elems, limit, limit_line = _setfile.read(path)
     try:
         return NumberSet._adopt(elems, limit)
