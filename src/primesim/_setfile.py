@@ -125,11 +125,11 @@ class _Reader:
         # odd lines in file order, up to the first that fails on its own
         first_row = int(rows[0]) if rows.size else len(ends)
         odd_rows, odd_values, error = [], [], None
-        for i in np.flatnonzero(~plain & (lens > 0)).tolist():
+        odd = np.flatnonzero(~plain & (lens > 0))
+        for i, start, end in zip(odd.tolist(), starts[odd].tolist(), ends[odd].tolist()):
             header_ok = self.limit is None and not self.size and i < first_row and not odd_rows
-            raw = data[starts[i] : ends[i]].decode()
             try:
-                got = _odd_line(self.path, self.lines + i + 1, raw, header_ok)
+                got = _odd_line(self.path, self.lines + i + 1, data[start:end].decode(), header_ok)
             except SetFormatError as exc:
                 error = (i, exc)
                 break

@@ -443,7 +443,7 @@ def _outcome(load, path: str):
 
 _ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
 
-# how an element may be written; each form is one the old loader accepted
+# how an element may be written: forms that int() accepts for v >= 0
 _FORMS = {
     "plain": str,
     "zeros": lambda v: "00" + str(v),
@@ -454,8 +454,9 @@ _FORMS = {
     "arabic": lambda v: str(v).translate(_ARABIC_INDIC),
 }
 
-# values stay at most 10^6 or at least 10^17: no drawn limit or last element
-# sizes a bitset that numpy could really allocate, past a few hundred KB
+# values stay at most 10^6 or at least 10^17, so a bitset sized by a drawn
+# limit or last element is at most 125 KB, or so large that numpy's
+# allocation fails at once
 _SMALL_VALUES = st.integers(1, 10**6)
 _VALUES = st.one_of(
     st.integers(1, 1000),
