@@ -118,7 +118,7 @@ def _run_gen_set(args: argparse.Namespace) -> int:
     save_set(ns, args.out, header_comments=_header_lines(args))
     if args.deviation_report:
         primes = primes_up_to(min(ns.limit, args.spec.limit or ns.limit))
-        report = similarity(ns, primes, step=1)
+        report = similarity(ns, primes)
         grid, devs = deviation_series(ns, primes)
         doc_out = {
             "schema_version": SCHEMA_VERSION,

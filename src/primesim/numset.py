@@ -6,10 +6,10 @@ is the integer 64*w + i), rank queries binary-search the sorted element
 array, which is also kept for ordered scans.
 
 The module also owns the shared on-disk set format (its block parser is
-in _setfile), the packed-window bit helpers, the cached bit-reversal and
-the two parity classes (the even and the odd members, each packed at half
-resolution) that the Goldbach checker builds its sweep and representation
-counts on.
+in _setfile), a cached full bit-reversal, and the packed-window bit
+helpers and two parity classes (the even and the odd members, each packed
+at half resolution) that the Goldbach checker builds its sweep and
+representation counts on.
 """
 
 from __future__ import annotations
@@ -300,14 +300,6 @@ def extract_window(words: np.ndarray, a: int, b: int) -> np.ndarray:
     if r:
         out[-1] &= _U64((1 << r) - 1)
     return out
-
-
-def window_bools(words: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Membership of positions a..b as a bool array (for dense scans)."""
-    packed = extract_window(words, a, b)
-    return np.unpackbits(
-        packed.view(np.uint8), count=b - a + 1, bitorder="little"
-    ).astype(bool)
 
 
 def _dense_sieve(limit: int) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 Three constructions: the primes themselves, the primes with every element
 nudged by +1 or -1 (keyed, reproducible randomness), and translated copies
-of a base set. Similarity between two sets is the largest observed gap
-between their rank functions over a sampling grid.
+of a base set. Similarity between two sets is the largest gap between
+their rank functions over every n up to the smaller limit, found at the
+sets' own elements, the only places where the gap changes.
 """
 
 from __future__ import annotations
@@ -15,12 +16,10 @@ import numpy as np
 
 from ._rng import mix64
 from .errors import DomainError
-from .numset import NumberSet, load_set, primes_up_to, window_bools
+from . import numset
+from .numset import NumberSet, load_set, primes_up_to
 
 log = logging.getLogger(__name__)
-
-SIMILARITY_GRID_TARGET = 100_000
-_SCAN_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -161,8 +160,7 @@ def perturb_primes(
         # reachable only through the {2, 3} corner; keep the earlier element
         log.info("perturb_primes(limit=%d, seed=%d): dropped %s", limit, seed, cand[dup].tolist())
         cand = cand[~dup]
-    cand = np.sort(cand)
-    return NumberSet.from_elements(cand, limit + 1)
+    return NumberSet._adopt(np.sort(cand), limit + 1)
 
 
 def shift_set(base: NumberSet, t: int) -> NumberSet:
@@ -171,52 +169,33 @@ def shift_set(base: NumberSet, t: int) -> NumberSet:
         raise DomainError("cannot shift an empty set")
     if base.min() + t < 1:
         raise DomainError(f"shift {t} sends {base.min()} below 1")
-    return NumberSet.from_elements(base.elements + t, base.limit + t)
+    return NumberSet._adopt(base.elements + t, base.limit + t)
 
 
-def similarity(
-    setQ: NumberSet, setP: NumberSet, step: int | None = None
-) -> SimilarityReport:
-    """Max of |rank_Q(n) - rank_P(n)| over n = step, 2*step, ... min(limits).
+def similarity(setQ: NumberSet, setP: NumberSet) -> SimilarityReport:
+    """Max of |rank_Q(n) - rank_P(n)| over every n in [1, min(limits)].
 
-    step=1 scans every n exhaustively (chunked cumulative sums over the
-    bitsets); the default step keeps roughly 10^5 grid points. The
-    similarity bound constant is max deviation + 1.
+    The gap is 0 below both sets' first elements and changes only at an
+    element of either set, so it is evaluated there alone: the k-th
+    element of one set has rank k in it, and rank_many gives the other's.
+    The witness is the smallest n reaching the maximum (1 when the sets
+    agree); the similarity bound constant is max deviation + 1.
     """
     common = min(setQ.limit, setP.limit)
     if common < 1:
         raise DomainError("sets share no evaluable range")
-    if step is None:
-        step = max(1, common // SIMILARITY_GRID_TARGET)
-    if step < 1:
-        raise DomainError("step must be >= 1")
-    if step == 1:
-        best = -1
-        witness = 0
-        base_q = base_p = 0
-        for a in range(1, common + 1, _SCAN_CHUNK):
-            b = min(a + _SCAN_CHUNK - 1, common)
-            cq = np.cumsum(window_bools(setQ._words, a, b)) + base_q
-            cp = np.cumsum(window_bools(setP._words, a, b)) + base_p
-            dev = np.abs(cq - cp)
+    best, witness = 0, 1
+    for own, other in ((setQ, setP), (setP, setQ)):
+        elems = own.elements[: own.rank(common)]
+        for lo in range(0, elems.size, numset.BLOCK_WORDS):
+            xs = elems[lo : lo + numset.BLOCK_WORDS]
+            dev = np.abs(np.arange(lo + 1, lo + 1 + xs.size) - other.rank_many(xs))
             i = int(np.argmax(dev))
-            if int(dev[i]) > best:
-                best = int(dev[i])
-                witness = a + i
-            base_q = int(cq[-1])
-            base_p = int(cp[-1])
-        samples = common
-    else:
-        grid = np.arange(step, common + 1, step, dtype=np.int64)
-        if grid.size == 0:
-            raise DomainError("step larger than the evaluable range")
-        dev = np.abs(setQ.rank_many(grid) - setP.rank_many(grid))
-        i = int(np.argmax(dev))
-        best = int(dev[i])
-        witness = int(grid[i])
-        samples = int(grid.size)
+            # on a tie the smaller element is the witness
+            if (int(dev[i]), witness) > (best, int(xs[i])):
+                best, witness = int(dev[i]), int(xs[i])
     return SimilarityReport(
-        max_deviation=best, bound_c=best + 1, samples=samples, witness_n=witness
+        max_deviation=best, bound_c=best + 1, samples=common, witness_n=witness
     )
 
 

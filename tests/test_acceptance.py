@@ -120,7 +120,7 @@ def test_criterion_06_similarity_bound_exhaustive():
     for seed in PERTURBED_SEEDS:
         ns = perturb_primes(10**6, seed)
         primes = primes_up_to(10**6)
-        report = similarity(ns, primes, step=1)
+        report = similarity(ns, primes)
         worst[seed] = report.max_deviation
     ok = all(d <= 2 for d in worst.values())
     verdict(6, ok, f"max |rank_Q - pi| over n<=1e6 per seed: {worst} (all <=2)")

@@ -17,7 +17,6 @@ from primesim.numset import (
     primes_up_to,
     save_set,
     bits_at,
-    window_bools,
 )
 
 from conftest import trial_division_primes
@@ -179,11 +178,6 @@ class TestBitWindows:
         w = extract_window(words, 32, 160)
         got = np.unpackbits(w.view(np.uint8), count=129, bitorder="little")
         assert got[:32].all() and not got[32:].any()
-
-    def test_window_bools(self, primes_10k):
-        bools = window_bools(primes_10k._words, 1, 100)
-        members = np.flatnonzero(bools) + 1
-        assert members.tolist() == trial_division_primes(100)
 
     def test_reversed_words_route_matches_oneshot(self, primes_10k):
         rev = primes_10k.reversed_words()

@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from primesim import numset
 from primesim._rng import mix64
 from primesim.errors import DomainError
 from primesim.numset import NumberSet, primes_up_to, save_set
 from primesim.simsets import (
     SetSpec,
+    SimilarityReport,
     build,
     deviation_series,
     perturb_primes,
@@ -37,6 +41,41 @@ def sequential_perturb(limit: int, seed: int) -> list[int]:
             continue
         emitted.append(candidate)
     return sorted(emitted)
+
+
+def brute_similarity(setQ: NumberSet, setP: NumberSet) -> SimilarityReport:
+    """Reference similarity: cumulative membership counts over every n."""
+    common = min(setQ.limit, setP.limit)
+    q, p = set(setQ.elements.tolist()), set(setP.elements.tolist())
+    devs = []
+    rank_q = rank_p = 0
+    for n in range(1, common + 1):
+        rank_q += n in q
+        rank_p += n in p
+        devs.append(abs(rank_q - rank_p))
+    best = max(devs)
+    return SimilarityReport(
+        max_deviation=best, bound_c=best + 1, samples=common, witness_n=devs.index(best) + 1
+    )
+
+
+def small_pair(q: list[int], p: list[int]) -> tuple[NumberSet, NumberSet]:
+    return NumberSet.from_elements(q, 20), NumberSet.from_elements(p, 20)
+
+
+@st.composite
+def set_pairs(draw) -> tuple[NumberSet, NumberSet]:
+    """Two sets with their own limits; either may be empty, and they share
+    a drawn (possibly empty) part of [1, min(limits)]."""
+    limits = [draw(st.integers(min_value=1, max_value=300)) for _ in range(2)]
+    shared = draw(st.sets(st.integers(min_value=1, max_value=min(limits)), max_size=40))
+    return tuple(
+        NumberSet.from_elements(
+            sorted(shared | draw(st.sets(st.integers(min_value=1, max_value=lim), max_size=40))),
+            lim,
+        )
+        for lim in limits
+    )
 
 
 class TestPerturbPrimes:
@@ -74,7 +113,7 @@ class TestPerturbPrimes:
         # keyed perturbation keeps every rank within 2 of the prime count
         ns = perturb_primes(1_000_000, 42)
         primes = primes_up_to(1_000_000)
-        report = similarity(ns, primes, step=1)
+        report = similarity(ns, primes)
         assert report.max_deviation <= 2
         assert report.bound_c == report.max_deviation + 1
 
@@ -93,6 +132,18 @@ class TestShiftSet:
         with pytest.raises(DomainError):
             shift_set(base, -2)
 
+    def test_shift_holds_no_copy_of_the_elements(self):
+        # the shifted elements and their bitset, plus blocks of temporaries
+        primes = primes_up_to(10**7)
+        tracemalloc.start()
+        try:
+            ns = shift_set(primes, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ns.elements.tolist()[:3] == [5, 6, 8]
+        assert peak <= ns.elements.nbytes + ns._words.nbytes + 2**20, peak
+
     def test_rank_identity_against_sieve(self):
         primes = primes_up_to(1000)
         shifted = shift_set(primes, 10)
@@ -110,7 +161,7 @@ class TestShiftSet:
 
 class TestSimilarity:
     def test_identity_is_zero(self, primes_10k):
-        report = similarity(primes_10k, primes_10k, step=1)
+        report = similarity(primes_10k, primes_10k)
         assert report.max_deviation == 0
         assert report.bound_c == 1
         assert report.samples == primes_10k.limit
@@ -118,25 +169,47 @@ class TestSimilarity:
     def test_shifted_set_bounded_by_t_plus_one(self, primes_10k):
         for t in (1, 2, 3):
             shifted = shift_set(primes_10k, t)
-            report = similarity(shifted, primes_10k, step=1)
+            report = similarity(shifted, primes_10k)
             assert report.max_deviation <= t
             assert report.bound_c <= t + 1
 
     def test_perturbed_bound_c(self):
         ns = perturb_primes(100_000, 7)
-        report = similarity(ns, primes_up_to(100_000), step=1)
+        report = similarity(ns, primes_up_to(100_000))
         assert report.bound_c <= 2
 
     def test_witness_attains_max(self, primes_10k):
         shifted = shift_set(primes_10k, 2)
-        report = similarity(shifted, primes_10k, step=1)
+        report = similarity(shifted, primes_10k)
         got = abs(shifted.rank(report.witness_n) - primes_10k.rank(report.witness_n))
         assert got == report.max_deviation
 
-    def test_step_grid(self, primes_10k):
-        report = similarity(primes_10k, primes_10k, step=100)
-        assert report.samples == 100
-        assert report.max_deviation == 0
+    @pytest.mark.parametrize("block_words", [1, 3, 2**14])
+    @given(pair=set_pairs())
+    # both empty; the second set reaches the maximum first; both reach it,
+    # each at its own element; one set reaches it twice
+    @example(pair=small_pair([], []))
+    @example(pair=small_pair([5], [3]))
+    @example(pair=small_pair([3, 4], [1]))
+    @example(pair=small_pair([2, 10], [5]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force(self, block_words, pair):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numset, "BLOCK_WORDS", block_words)
+            for setQ, setP in (pair, pair[::-1]):
+                assert similarity(setQ, setP) == brute_similarity(setQ, setP)
+
+    def test_heap_peak_stays_small(self):
+        # blocks of elements only: nothing sized by the limit or the sets
+        ns = perturb_primes(10**6, 1)
+        primes = primes_up_to(10**6)
+        tracemalloc.start()
+        try:
+            similarity(ns, primes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20, peak
 
     def test_deviation_series_thinning(self, primes_10k):
         ns, devs = deviation_series(primes_10k, primes_10k, points=50)
