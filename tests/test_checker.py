@@ -1,4 +1,5 @@
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -273,6 +274,19 @@ class TestCheckRange:
             )
             assert other.failures == base.failures
             assert other.buckets == base.buckets
+
+    def test_starts_no_thread(self, monkeypatch, primes_100k):
+        # every bucket runs in the calling thread, whatever `workers` says
+        base = check_range(primes_100k, 4, 100_000, bucket_width=10_000)
+
+        def refuse(self):
+            raise AssertionError("check_range started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        two = check_range(primes_100k, 4, 100_000, workers=2, bucket_width=10_000)
+        assert (two.failures, two.buckets) == (base.failures, base.buckets)
+        with pytest.raises(DomainError):
+            check_range(primes_100k, 4, 100_000, workers=0)
 
     def test_failures_invariant_under_bucket_split(self):
         rng = np.random.default_rng(23)
