@@ -160,7 +160,8 @@ def perturb_primes(
         # reachable only through the {2, 3} corner; keep the earlier element
         log.info("perturb_primes(limit=%d, seed=%d): dropped %s", limit, seed, cand[dup].tolist())
         cand = cand[~dup]
-    return NumberSet._adopt(np.sort(cand), limit + 1)
+    cand.sort()
+    return NumberSet._adopt(cand, limit + 1)
 
 
 def shift_set(base: NumberSet, t: int) -> NumberSet:
