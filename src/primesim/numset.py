@@ -5,11 +5,11 @@ universe [1, limit]. Membership is a packed uint64 bitset (bit i of word w
 is the integer 64*w + i), rank queries binary-search the sorted element
 array, which is also kept for ordered scans.
 
-The module also owns the shared on-disk set format (its block parser is
-in _setfile), a cached full bit-reversal, and the packed-window bit
-helpers and two parity classes (the even and the odd members, each packed
-at half resolution) that the Goldbach checker builds its sweep and
-representation counts on.
+The module also owns the shared on-disk set format (its reader, numpy's
+text parser backed by the per-line rules, is in _setfile), a cached full
+bit-reversal, and the packed-window bit helpers and two parity classes
+(the even and the odd members, each packed at half resolution) that the
+Goldbach checker builds its sweep and representation counts on.
 """
 
 from __future__ import annotations
@@ -166,11 +166,6 @@ class NumberSet:
         if not len(self):
             raise DomainError("empty set has no minimum")
         return int(self.elements[0])
-
-    def max(self) -> int:
-        if not len(self):
-            raise DomainError("empty set has no maximum")
-        return int(self.elements[-1])
 
 
 class ParityClass:
@@ -374,10 +369,11 @@ def save_set(ns: NumberSet, path: str, header_comments: Iterable[str] = ()) -> N
 def load_set(path: str) -> NumberSet:
     """Read the shared ASCII set format; errors carry the offending line number.
 
-    _setfile.read parses the file into one int64 array, checking each
-    element (>= 1, above the previous one, within the limit header); the
-    NumberSet then keeps that array without a copy. The parser is imported
-    on first use, so a process that reads no set file never compiles it.
+    _setfile.read parses the file into one int64 array with numpy when it
+    can, and by the per-line rules otherwise, checking each element (>= 1,
+    above the previous one, within the limit header); the NumberSet then
+    keeps that array without a copy. The reader is imported on first use,
+    so a process that reads no set file never compiles it.
     """
     from . import _setfile
 
@@ -388,8 +384,12 @@ def load_set(path: str) -> NumberSet:
         raise
     except (MemoryError, ValueError):
         # the bitset is sized by the limit header, or else by the last
-        # element; numpy raises ValueError past its largest array dimension
-        size = limit if limit is not None else int(elems[-1])
+        # element, whose line only the per-line rules count; numpy raises
+        # ValueError past its largest array dimension
+        if limit is None:
+            size, limit_line = int(elems[-1]), _setfile.by_line(path)[2]
+        else:
+            size = limit
         raise SetFormatError(
             path, limit_line, f"cannot allocate the {((size >> 6) + 1) * 8}-byte bitset for limit {size}"
         ) from None

