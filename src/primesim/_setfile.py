@@ -28,9 +28,9 @@ from .errors import SetFormatError
 def read(path: str) -> tuple[np.ndarray, int | None, int]:
     """(elements, limit header or None, line of the header).
 
-    With no header, only by_line gives the last element's line there. The
-    numpy read's elements are the int64 array numpy parsed into,
-    reshaped in place, that nothing else holds.
+    Without a header, only by_line counts the last element's line. The
+    numpy read's elements are the int64 array numpy parsed into, reshaped
+    in place, that nothing else holds.
     """
     try:
         got = _by_numpy(path)

@@ -18,6 +18,7 @@ from .errors import DomainError
 from . import numset
 from .numset import NumberSet, load_set, primes_up_to
 
+
 @dataclass(frozen=True)
 class SetSpec:
     """Declarative recipe for constructing a NumberSet.

@@ -543,14 +543,14 @@ class TestBlockParsedLoad:
             "limit=-1\n0\n",  # 0 fails both checks
             "limit=5\n 3 \n\u00bd\n9\n",
             "3 5\n",  # one line of two fields, not two elements
-            "3\n5\x1c6\n8\n",  # numpy splits at \x1c, int() does not
+            "3\n5\x1c6\n8\n",  # numpy separates fields at \x1c; int() refuses the line
             "5 6\n",
             "5,6\n",
             "5 # c\n",  # no comment after an element
             "limit=9\n3\n# c\n5\n",  # a comment after elements
             "\n  \n# c\nlimit=9\n3\n",  # a header after blank lines
             "limit=9\n  \n\t\n",  # a header and only whitespace lines
-            "# a\x0bb\x0cc\x1cd\x85e\u2028f\nlimit=9\n3\n5\n",  # no line breaks but \n
+            "# a\x0bb\x0cc\x1cd\x85e\u2028f\nlimit=9\n3\n5\n",  # none of these ends a line
             "5\n\n100000000000000000\n\n",  # no header, and no room for the bitset
         ],
     )
