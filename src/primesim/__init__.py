@@ -48,43 +48,3 @@ from .simsets import (
     shift_set,
     similarity,
 )
-
-__all__ = [
-    "__version__",
-    "BucketStats",
-    "CheckReport",
-    "DistanceSet",
-    "DomainError",
-    "LogProb",
-    "ModelParams",
-    "ModelRow",
-    "MonteCarloResult",
-    "NumberSet",
-    "SetFormatError",
-    "SetSpec",
-    "SimilarityReport",
-    "a_set",
-    "b_set",
-    "build",
-    "check_range",
-    "coefficient_c",
-    "coefficient_c_fraction",
-    "disjoint",
-    "exact_disjoint_fraction",
-    "exact_disjoint_prob",
-    "find_representation",
-    "load_set",
-    "log_f",
-    "minimal_representations",
-    "model_table",
-    "monte_carlo_disjoint",
-    "pair_count",
-    "perturb_primes",
-    "primes_up_to",
-    "residue_filtered_params",
-    "save_set",
-    "shift_set",
-    "similarity",
-    "tail_integral",
-    "upper_bound_prob",
-]

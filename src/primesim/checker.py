@@ -5,9 +5,11 @@ as q1 + q2 with both parts in the set. It is a word-parallel sweep: a
 bitset over one bucket of evens collects, for each element q1 in turn, the
 set's membership bits shifted down by q1, so one bitset OR settles every
 even of the bucket for that q1. Once the open evens no longer outnumber the
-bitset's words, the few left are handed to the per-even scans, which walk
-candidate q1 ascending (or q2 descending above limit + 1) and also give the
-canonical smallest-q1 pair; evens they cannot split are failures.
+bitset's words, the few left go to the one candidate scan, which also gives
+every canonical smallest-q1 pair (find_representation is that scan on a
+single even). It tries q1 upward, or q2 downward above limit + 1, a chunk
+of candidates at a time on every open even; evens it cannot split are
+failures.
 
 Representation counts r(2n) = |A_n ∩ B_n| (the paper's identity) split by
 parity: both parts of a pair have one parity c, and with class c holding
@@ -35,6 +37,7 @@ from .simsets import SetSpec
 
 BUCKET_WIDTH = 1_000_000
 SAMPLE_STRIDE = 1_000
+_SCAN_TESTS = 256  # candidate tests per scan step, shared by the open evens
 
 _U64 = np.uint64
 _ODD_BITS = _U64(0xAAAA_AAAA_AAAA_AAAA)  # bits 1, 3, ..., 63
@@ -161,46 +164,20 @@ def _validate_even(setQ: NumberSet, even2n: int) -> None:
 
 
 def find_representation(setQ: NumberSet, even2n: int) -> tuple[int, int] | None:
-    """Canonical representation (q1, q2) with q1 minimal, or None.
-
-    Scans candidate q1 ascending in vector chunks; deterministic.
-    """
+    """Canonical representation (q1, q2) with q1 minimal, or None."""
     _validate_even(setQ, even2n)
-    n = even2n >> 1
-    elems = setQ.elements
-    k0 = int(np.searchsorted(elems, max(1, even2n - setQ.limit), side="left"))
-    k1 = int(np.searchsorted(elems, n, side="right"))
-    for a in range(k0, k1, 256):
-        qs = elems[a : min(a + 256, k1)]
-        hits = bits_at(setQ._words, even2n - qs)
-        i = int(np.argmax(hits))
-        if hits[i]:
-            q1 = int(qs[i])
-            return q1, even2n - q1
-    return None
+    q1 = int(_minimal_q1(setQ, np.array([even2n]))[0])
+    return (q1, even2n - q1) if q1 else None
 
 
 def minimal_representations(setQ: NumberSet, lo: int, hi: int) -> np.ndarray:
     """Smallest q1 for every even in [lo, hi] (0 where no representation).
 
-    Vectorized form of find_representation over a whole range; the scan
-    order makes results identical to per-even queries.
+    The same scan as find_representation, run on the whole range at once,
+    so results are identical to per-even queries.
     """
     _validate_range(setQ, lo, hi)
     return _minimal_q1(setQ, np.arange(lo, hi + 2, 2, dtype=np.int64))
-
-
-def _minimal_q1(setQ: NumberSet, E: np.ndarray) -> np.ndarray:
-    """Smallest q1 for each even of the ascending array E (0 where none).
-
-    Evens up to limit + 1 scan q1 upward; above it small q1 are useless
-    (the complement would exceed the universe), so those scan q2 downward.
-    """
-    out = np.zeros(E.size, dtype=np.int64)
-    boundary = int(np.searchsorted(E, setQ.limit + 1, side="right"))
-    _scan_ascending(setQ, E[:boundary], out[:boundary])
-    _scan_descending(setQ, E[boundary:], out[boundary:])
-    return out
 
 
 def _validate_range(setQ: NumberSet, lo: int, hi: int) -> None:
@@ -212,56 +189,56 @@ def _validate_range(setQ: NumberSet, lo: int, hi: int) -> None:
         raise DomainError(f"range end {hi} exceeds addressable 2*limit = {2 * setQ.limit}")
 
 
-def _scan_ascending(setQ: NumberSet, E: np.ndarray, out: np.ndarray) -> None:
-    """Fill minimal q1 for evens <= limit + 1 (complement always addressable)."""
-    elems = setQ.elements
-    words = setQ._words
-    rem = E
-    pos = np.arange(E.size)
-    k = 0
-    while rem.size:
-        if k == elems.size:
-            break
-        q1 = int(elems[k])
-        cut = int(np.searchsorted(rem, 2 * q1, side="left"))
-        if cut:
-            # evens below 2*q1 have exhausted every candidate; they fail
-            rem, pos = rem[cut:], pos[cut:]
-            if not rem.size:
-                break
-        hit = bits_at(words, rem - q1)
-        if hit.any():
-            out[pos[hit]] = q1
-            keep = ~hit
-            rem, pos = rem[keep], pos[keep]
-        k += 1
+def _minimal_q1(setQ: NumberSet, E: np.ndarray) -> np.ndarray:
+    """Smallest q1 for each even of the ascending array E (0 where none).
 
-
-def _scan_descending(setQ: NumberSet, E: np.ndarray, out: np.ndarray) -> None:
-    """Fill minimal q1 for evens above limit + 1 by walking q2 downward.
-
-    For these evens small q1 are useless (the complement would exceed the
-    universe), so the scan walks the largest candidate q2 down; the first
-    hit still yields the smallest q1 = even - q2.
+    Evens up to limit + 1 try q1 upward through the elements. Above it small
+    q1 are useless (the complement would exceed the universe), so those try
+    q2 downward, and the first hit still gives the smallest q1 = even - q2.
+    Both run one scan; the downward one is mirrored, on keys -even and
+    candidates -q2, so that both ascend again.
     """
-    elems = setQ.elements
-    words = setQ._words
-    rem = E
-    pos = np.arange(E.size)
-    for k in range(elems.size - 1, -1, -1):
-        if not rem.size:
+    out = np.zeros(E.size, dtype=np.int64)
+    split = int(E.searchsorted(setQ.limit + 1, side="right"))
+    _scan(setQ._words, E[:split], setQ.elements, 1, out[:split])
+    if split < E.size:
+        _scan(setQ._words, -E[split:][::-1], setQ.elements[::-1], -1, out[split:][::-1])
+    return out
+
+
+def _scan(words: np.ndarray, keys: np.ndarray, cands: np.ndarray, sign: int, out: np.ndarray) -> None:
+    """Smallest q1 of each even e = sign * keys[i] into out[i], trying cands in order.
+
+    keys and sign * cands ascend, and a candidate c pairs with e as its
+    smaller part (q1 <= q2, up) or its larger part (down) while
+    2 * sign * c <= key. Each step tries the next
+    max(1, _SCAN_TESTS // open evens) candidates on every open even, so a
+    lone even tests a vector at once and thousands test one candidate each.
+    A step stops at the half of the first even to run out, so every tested
+    partner e - c lies in [1, limit]; evens whose half the scan has passed
+    fail and leave.
+    """
+    pos = np.arange(keys.size)
+    k = 0
+    while keys.size and k < cands.size:
+        chunk = sign * cands[k : k + max(1, _SCAN_TESTS // keys.size)]
+        cut = int(keys.searchsorted(2 * chunk[0]))
+        keys, pos = keys[cut:], pos[cut:]
+        if not keys.size:
             return
-        q2 = int(elems[k])
-        cut = int(np.searchsorted(rem, 2 * q2, side="right"))
-        # evens above 2*q2 can no longer be split with q1 <= q2; they fail
-        rem, pos = rem[:cut], pos[:cut]
-        if not rem.size:
-            return
-        hit = bits_at(words, rem - q2)
-        if hit.any():
-            out[pos[hit]] = rem[hit] - q2
-            keep = ~hit
-            rem, pos = rem[keep], pos[keep]
+        chunk = chunk[: chunk.searchsorted(keys[0] >> 1, side="right"), None]
+        k += chunk.size
+        # partners e - c, one row per candidate
+        hits = bits_at(words, keys - chunk if sign > 0 else chunk - keys)
+        found = hits.any(axis=0)
+        hit = found.nonzero()[0]
+        if hit.size:
+            # an even's first hit is its smallest q1 (up) or largest q2 (down)
+            c = sign * chunk[hits[:, hit].argmax(axis=0), 0]
+            out[pos[hit]] = c if sign > 0 else -keys[hit] - c
+            if hit.size == keys.size:
+                return
+            keys, pos = keys[~found], pos[~found]
 
 
 def _bucket_bounds(lo: int, hi: int, width: int) -> list[tuple[int, int]]:
@@ -281,7 +258,7 @@ def _sweep_open(setQ: NumberSet, lo: int, hi: int) -> np.ndarray:
     the set's bits over [lo - q1, hi - q1] marks every even e with
     e - q1 in the set. Elements go in ascending order until the open evens
     no longer outnumber R's words (or 2 * q1 > hi, past which a new pair
-    would repeat one already found); the rest are left to the scans.
+    would repeat one already found); the rest are left to the scan.
     Meant for hi <= limit + 1, where small q1 split most evens.
     """
     nbits = hi - lo + 1
@@ -339,7 +316,7 @@ def check_range(
     0.242 s against 0.194 s) and gained 6% on perturbed seed 1 at 1e7.
     Within a bucket the word-parallel sweep settles most evens up to
     limit + 1; the open remainder and any evens above limit + 1 go through
-    the per-even scans, and the evens those cannot split are the failures.
+    the candidate scan, and the evens it cannot split are the failures.
     Only failures are reported, so the order in which the sweep finds
     pairs does not matter. Representation counts are sampled
     1-in-`sample_stride` evens per bucket (slow_mode counts every even) and

@@ -34,6 +34,8 @@ _KINDS = ("primes", "perturbed", "shifted", "file")
 
 # Rows in one prob table; a row near n = 1e6 takes about 1 ms.
 PROB_MAX_ROWS = 10_000
+# Largest --c-from-pmax: the exact product over primes to 1e5 takes about 0.4 s.
+PROB_MAX_C_PMAX = 100_000
 
 # Report-header keys per command, in output order; the set spec follows them.
 # --workers and --out stay out: report bodies must be byte-identical for any
@@ -181,6 +183,8 @@ def _run_prob(args: argparse.Namespace) -> int:
         raise DomainError("--n-step must be >= 1")
     damping = args.damping_c
     if args.c_from_pmax is not None:
+        if args.c_from_pmax > PROB_MAX_C_PMAX:
+            raise DomainError(f"--c-from-pmax {args.c_from_pmax} is above the cap of {PROB_MAX_C_PMAX}")
         damping = coefficient_c(args.c_from_pmax)
     if args.n_max is not None:
         step = args.n_step or max(1, (args.n_max - args.n) // 100)

@@ -257,9 +257,9 @@ def _unzip(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def bits_at(words: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Bit test of each x in a packed uint64 bitset; returns bool array."""
+    """Bit test of each int64 x in a packed uint64 bitset; returns bool array."""
     w = words[xs >> 6]
-    return ((w >> (xs & 63).astype(np.uint64)) & _ONE).astype(bool)
+    return ((w >> (xs & 63).view(np.uint64)) & _ONE).astype(bool)
 
 
 def extract_window(words: np.ndarray, a: int, b: int) -> np.ndarray:

@@ -386,6 +386,22 @@ class TestMinimalRepresentations:
             if oracle:
                 assert reps[i] == oracle[0]
 
+    @given(ns=random_sets())
+    @settings(max_examples=60, deadline=None)
+    # 4 and 6 alone: the candidate chunk reaches past the even's half (2, 3)
+    @example(ns=primes_up_to(100))
+    # 2 = 1 + 1, the only even whose pair uses the element 1 twice
+    @example(ns=NumberSet.from_elements([1, 4, 9], 9))
+    def test_one_scan_matches_brute_force(self, ns):
+        # every even to 2 * limit, so both sides of limit + 1 and the split
+        members = set(ns.elements.tolist())
+        reps = minimal_representations(ns, 4, 2 * ns.limit)
+        for even in range(2, 2 * ns.limit + 1, 2):
+            oracle = brute_force_representation(members, even)
+            assert find_representation(ns, even) == oracle, even
+            if even >= 4:
+                assert reps[even // 2 - 2] == (oracle[0] if oracle else 0), even
+
 
 class TestShiftProperty:
     def test_constructive_witness_small_scale(self):

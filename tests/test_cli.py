@@ -9,7 +9,7 @@ import pytest
 
 import primesim
 from primesim import cli
-from primesim.cli import PROB_MAX_ROWS, main
+from primesim.cli import PROB_MAX_C_PMAX, PROB_MAX_ROWS, main
 from primesim.numset import NumberSet, load_set, save_set
 from primesim.reports import dump_json, load_json
 
@@ -241,6 +241,30 @@ class TestProb:
         code, out, _ = run_cli(capsys, "prob", "--n", "10000", "--c-from-pmax", "5")
         row = json.loads(out)["rows"][0]
         assert row["damping_c"] == 3.75
+
+    def test_c_from_pmax_above_cap_rejected(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(primesim.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "primesim", "prob", "--n", "10000",
+             "--c-from-pmax", "100000000000000"],
+            capture_output=True, text=True, env=env, cwd=tmp_path, check=False,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("primesim prob:")
+        assert str(PROB_MAX_C_PMAX) in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_c_from_pmax_at_cap_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "PROB_MAX_C_PMAX", 7)
+        argv = ("prob", "--n", "10000", "--c-from-pmax")
+        code, out, _ = run_cli(capsys, *argv, "7")
+        assert code == 0
+        assert json.loads(out)["rows"][0]["damping_c"] == 4.375
+        code, out, err = run_cli(capsys, *argv, "8")
+        assert code == 2
+        assert out == ""
+        assert "7" in err
 
     def test_zero_damping_rejected(self, capsys):
         code, out, err = run_cli(capsys, "prob", "--n", "10000", "--c", "0")
