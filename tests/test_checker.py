@@ -390,7 +390,7 @@ class TestMinimalRepresentations:
     @settings(max_examples=60, deadline=None)
     # 4 and 6 alone: the candidate chunk reaches past the even's half (2, 3)
     @example(ns=primes_up_to(100))
-    # 2 = 1 + 1, the only even whose pair uses the element 1 twice
+    # the even 2, split as 1 + 1 only when 1 is a member
     @example(ns=NumberSet.from_elements([1, 4, 9], 9))
     def test_one_scan_matches_brute_force(self, ns):
         # every even to 2 * limit, so both sides of limit + 1 and the split
