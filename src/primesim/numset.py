@@ -1,9 +1,9 @@
 """Core integer-set structure: packed bitset plus sorted elements, and prime sieving.
 
 A NumberSet is an immutable sorted set of naturals >= 1 living in the
-universe [1, limit]. Membership is a packed uint64 bitset (bit i of word w
-is the integer 64*w + i), rank queries binary-search the sorted element
-array, which is also kept for ordered scans.
+universe [1, limit]: a sorted int64 element array, for rank queries and
+ordered scans, and a packed uint64 bitset (bit i of word w is the integer
+64*w + i) for membership, which the constructor alone builds from it.
 
 The module also owns the shared on-disk set format (its reader, numpy's
 text parser backed by the per-line rules, is in _setfile), a cached full
@@ -58,13 +58,33 @@ _UNZIP_STEPS = tuple(
 class NumberSet:
     """Immutable sorted set of naturals with bitset membership and rank.
 
-    Do not call the constructor directly; use :func:`primes_up_to`,
-    :meth:`NumberSet.from_elements`, or :func:`load_set`.
+    The constructor keeps a strictly increasing 1-D int64 array of
+    elements >= 1, that nothing else holds, uncopied and read-only, and
+    packs the bitset from it; limit None takes the last element.
+    :meth:`from_elements` copies a caller's elements first.
     """
 
     __slots__ = ("limit", "elements", "_words", "_rev", "_classes")
 
-    def __init__(self, words: np.ndarray, elements: np.ndarray, limit: int):
+    def __init__(self, elements: np.ndarray, limit: int | None):
+        if elements.ndim != 1:
+            raise DomainError("elements must be one-dimensional")
+        if elements.size and elements[0] < 1:
+            raise DomainError("elements must be >= 1")
+        if np.any(elements[1:] <= elements[:-1]):
+            raise DomainError("elements must be strictly increasing")
+        if limit is None:
+            if elements.size == 0:
+                raise DomainError("an empty set needs an explicit limit")
+            limit = int(elements[-1])
+        elif elements.size and int(elements[-1]) > limit:
+            raise DomainError(f"element {int(elements[-1])} exceeds limit {limit}")
+        if limit < 1:
+            raise DomainError("limit must be >= 1")
+        words = np.zeros((limit >> 6) + 1, dtype=np.uint64)
+        for lo in range(0, elements.size, BLOCK_WORDS):
+            block = elements[lo : lo + BLOCK_WORDS]
+            np.bitwise_or.at(words, block >> 6, _ONE << (block & 63).astype(np.uint64))
         for arr in (words, elements):
             arr.flags.writeable = False
         self.limit = int(limit)
@@ -102,36 +122,13 @@ class NumberSet:
         cls, elements: Iterable[int] | np.ndarray, limit: int | None = None
     ) -> "NumberSet":
         """A set of the given elements; a caller's array is copied, not frozen."""
-        return cls._adopt(
+        return cls(
             np.array(
                 list(elements) if not isinstance(elements, np.ndarray) else elements,
                 dtype=np.int64,
             ),
             limit,
         )
-
-    @classmethod
-    def _adopt(cls, elems: np.ndarray, limit: int | None) -> "NumberSet":
-        """Validate an int64 array that nothing else holds and build on it, uncopied."""
-        if elems.ndim != 1:
-            raise DomainError("elements must be one-dimensional")
-        if elems.size and elems[0] < 1:
-            raise DomainError("elements must be >= 1")
-        if np.any(elems[1:] <= elems[:-1]):
-            raise DomainError("elements must be strictly increasing")
-        if limit is None:
-            if elems.size == 0:
-                raise DomainError("an empty set needs an explicit limit")
-            limit = int(elems[-1])
-        elif elems.size and int(elems[-1]) > limit:
-            raise DomainError(f"element {int(elems[-1])} exceeds limit {limit}")
-        if limit < 1:
-            raise DomainError("limit must be >= 1")
-        words = np.zeros((limit >> 6) + 1, dtype=np.uint64)
-        for lo in range(0, elems.size, BLOCK_WORDS):
-            block = elems[lo : lo + BLOCK_WORDS]
-            np.bitwise_or.at(words, block >> 6, _ONE << (block & 63).astype(np.uint64))
-        return cls(words, elems, limit)
 
     def __len__(self) -> int:
         return int(self.elements.size)
@@ -297,16 +294,6 @@ def extract_window(words: np.ndarray, a: int, b: int) -> np.ndarray:
     return out
 
 
-def _dense_sieve(limit: int) -> np.ndarray:
-    """Plain sieve for base primes (limit is at most sqrt of the real job)."""
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
-
-
 def _sieve_segment(lo: int, hi: int, odd_base: list[int]) -> np.ndarray:
     """Primality flags for integers in [lo, hi); odd_base are odd primes <= sqrt."""
     seg = np.ones(hi - lo, dtype=bool)
@@ -328,29 +315,39 @@ def _sieve_segment(lo: int, hi: int, odd_base: list[int]) -> np.ndarray:
     return seg
 
 
-def primes_up_to(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> NumberSet:
-    """All primes in [2, limit], sieved segment by segment.
+def _prime_elements(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
+    """Every prime in [2, limit], in one int64 array that nothing else holds.
 
-    Memory beyond the output bitset/element array is one boolean segment
-    (default 2^20 numbers). segment_size must be a positive multiple of 64
-    so segments pack cleanly into the shared word buffer.
+    The array is allocated first, at the Rosser-Schoenfeld bound
+    pi(x) < 1.25506 x / ln x, so a limit too large to hold fails before
+    any sieving. Each segment's primes are written into it, and it is
+    then shrunk in place, so its unused tail is never touched. The odd
+    primes up to sqrt(limit) that sieve the segments come from the same
+    function.
     """
     if limit < 2:
         raise DomainError("primes_up_to needs limit >= 2")
-    if segment_size < 64 or segment_size % 64:
-        raise DomainError("segment_size must be a positive multiple of 64")
-    n_words = (limit >> 6) + 1
-    byte_buf = np.zeros(n_words * 8, dtype=np.uint8)
-    odd_base = _dense_sieve(math.isqrt(limit))[1:].tolist()
-    chunks = []
+    if segment_size < 1:
+        raise DomainError("segment_size must be positive")
+    bound = int(1.25506 * limit / math.log(limit)) + 1
+    try:
+        out = np.empty(bound, dtype=np.int64)
+    except (MemoryError, ValueError):
+        raise DomainError(f"cannot allocate the {bound * 8}-byte element array for limit {limit}") from None
+    root = math.isqrt(limit)
+    odd_base = _prime_elements(root)[1:].tolist() if root >= 2 else []
+    n = 0
     for lo in range(0, limit + 1, segment_size):
-        hi = min(lo + segment_size, limit + 1)
-        seg = _sieve_segment(lo, hi, odd_base)
-        packed = np.packbits(seg, bitorder="little")
-        byte_buf[lo >> 3 : (lo >> 3) + packed.size] = packed
-        chunks.append(np.flatnonzero(seg).astype(np.int64) + lo)
-    words = byte_buf.view(np.uint64)
-    return NumberSet(words, np.concatenate(chunks), limit)
+        seg = np.flatnonzero(_sieve_segment(lo, min(lo + segment_size, limit + 1), odd_base))
+        np.add(seg, lo, out=out[n : n + seg.size])
+        n += seg.size
+    out.resize(n, refcheck=False)
+    return out
+
+
+def primes_up_to(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> NumberSet:
+    """All primes in [2, limit]; beyond the set, memory is one segment of segment_size numbers."""
+    return NumberSet(_prime_elements(limit, segment_size), limit)
 
 
 def save_set(ns: NumberSet, path: str, header_comments: Iterable[str] = ()) -> None:
@@ -379,7 +376,7 @@ def load_set(path: str) -> NumberSet:
 
     elems, limit, limit_line = _setfile.read(path)
     try:
-        return NumberSet._adopt(elems, limit)
+        return NumberSet(elems, limit)
     except DomainError:
         raise
     except (MemoryError, ValueError):

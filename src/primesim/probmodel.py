@@ -18,7 +18,7 @@ import numpy as np
 
 from ._rng import mix64
 from .errors import DomainError
-from .numset import _dense_sieve
+from .numset import _prime_elements
 
 LN10 = math.log(10.0)
 RATIONAL_MAX_M = 64
@@ -145,7 +145,7 @@ def coefficient_c_fraction(p_max: int) -> Fraction:
     if p_max < 2:
         raise DomainError("coefficient needs p_max >= 2")
     c = Fraction(1)
-    for p in _dense_sieve(p_max).tolist():
+    for p in _prime_elements(p_max).tolist():
         c *= Fraction(p, p - 1)
     return c
 

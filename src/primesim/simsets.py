@@ -114,38 +114,30 @@ def perturb_primes(
     segmentation-independent. Twin primes can collide (p+1 == (p+2)-1);
     collisions are resolved in ascending order by flipping the later
     element's sign, which keeps every element within 1 of its source prime.
-    The result lives in the universe [1, limit+1] since the top prime may
-    move up. `_force_sign` (+1 or -1) is a test hook that bypasses the
-    keyed choice.
+    The sieve's element array is moved in place, so no copy of the primes
+    is held. The result lives in the universe [1, limit+1] since the top
+    prime may move up. `_force_sign` (+1 or -1) is a test hook that
+    bypasses the keyed choice.
     """
     if limit < 3:
         raise DomainError("perturb_primes needs limit >= 3")
-    primes = primes_up_to(limit).elements
-    if _force_sign is not None:
-        if _force_sign not in (1, -1):
-            raise DomainError("_force_sign must be +1 or -1")
-        sign = np.full(primes.size, _force_sign, dtype=np.int64)
-    else:
-        sign = np.where(
-            mix64(seed, primes.astype(np.uint64)) & np.uint64(1), 1, -1
-        ).astype(np.int64)
-    cand = primes + sign
-    # Fixpoint flipping is equivalent to the ascending sequential pass:
-    # a stale flip would need three equal candidates, impossible for
-    # distinct primes under +-1 moves. No element is lost: only q = p + 2
-    # can collide, and its flip moves it to q + 1, above every earlier
-    # candidate.
-    flipped = np.zeros(primes.size, dtype=bool)
-    while True:
-        coll = np.zeros(primes.size, dtype=bool)
-        coll[1:] = cand[1:] == cand[:-1]
-        coll &= ~flipped
-        if not coll.any():
-            break
-        cand[coll] = primes[coll] - sign[coll]
-        flipped |= coll
-    cand.sort()
-    return NumberSet._adopt(cand, limit + 1)
+    if _force_sign not in (None, 1, -1):
+        raise DomainError("_force_sign must be +1 or -1")
+    # each block of primes gets its signs in place
+    cand = numset._prime_elements(limit)
+    for lo in range(0, cand.size, numset.BLOCK_WORDS):
+        block = cand[lo : lo + numset.BLOCK_WORDS]
+        block += _force_sign or np.where(mix64(seed, block) & np.uint64(1), 1, -1)
+    # Only twins p, p + 2 collide, at p + 1, and the later one moved down:
+    # flipping it adds 2 and sends it to p + 3, above every earlier
+    # candidate, where it can meet the next twin in turn (3, 5, 7 is the
+    # one chain). Repeating until nothing collides is the ascending
+    # sequential pass, and no element is lost.
+    while (idx := np.flatnonzero(cand[1:] == cand[:-1])).size:
+        cand[idx + 1] += 2
+    # 2 -> 3 with 3 -> 2 is the one pair left out of order
+    cand[:2].sort()
+    return NumberSet(cand, limit + 1)
 
 
 def shift_set(base: NumberSet, t: int) -> NumberSet:
@@ -154,7 +146,7 @@ def shift_set(base: NumberSet, t: int) -> NumberSet:
         raise DomainError("cannot shift an empty set")
     if base.min() + t < 1:
         raise DomainError(f"shift {t} sends {base.min()} below 1")
-    return NumberSet._adopt(base.elements + t, base.limit + t)
+    return NumberSet(base.elements + t, base.limit + t)
 
 
 def similarity(setQ: NumberSet, setP: NumberSet) -> SimilarityReport:

@@ -376,6 +376,26 @@ class TestUsageErrors:
             main([])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sieve"],
+            ["check", "--set", "primes", "--lo", "4", "--hi", "10"],
+            ["gen-set", "--kind", "perturbed", "--seed", "1", "--out", "p.txt"],
+        ],
+        ids=["sieve", "check", "gen-set"],
+    )
+    def test_unallocatable_limit_is_an_input_error(self, tmp_path, argv):
+        # 2^62 is refused at once, whatever the kernel's overcommit policy
+        env = dict(os.environ, PYTHONPATH=str(Path(primesim.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "primesim", *argv, "--limit", str(2**62)],
+            capture_output=True, text=True, env=env, cwd=tmp_path, check=False,
+        )
+        assert proc.returncode == 2
+        assert "cannot allocate" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m_runs_main(self, capsys, tmp_path):

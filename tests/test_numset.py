@@ -1,4 +1,5 @@
 import functools
+import math
 import tempfile
 import tracemalloc
 from array import array
@@ -46,7 +47,7 @@ class TestPrimesUpTo:
         with pytest.raises(DomainError):
             primes_up_to(1)
 
-    @pytest.mark.parametrize("segment_size", [64, 128, 4096, 1 << 20])
+    @pytest.mark.parametrize("segment_size", [64, 100, 128, 1000, 4096, 1 << 20])
     def test_segmentation_is_invisible(self, segment_size):
         big = primes_up_to(10_000, segment_size)
         for m in (2, 17, 100, 9973, 10_000):
@@ -56,7 +57,19 @@ class TestPrimesUpTo:
 
     def test_bad_segment_size(self):
         with pytest.raises(DomainError):
-            primes_up_to(100, segment_size=100)
+            primes_up_to(100, segment_size=0)
+
+    def test_holds_no_full_size_temporaries(self):
+        # the elements and the bitset, plus one segment; the element array
+        # is allocated at the Rosser-Schoenfeld bound, so its unused tail
+        # counts here until it is shrunk (+1.5 MiB measured)
+        tracemalloc.start()
+        try:
+            ns = primes_up_to(20_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ns.elements.nbytes + ns._words.nbytes + 2**21, peak
 
     def test_prime_count_at_2e8(self):
         # pinned once against an independent prime-counting implementation
@@ -112,10 +125,22 @@ class TestNumberSet:
         assert len(ns) == 4
 
     @pytest.mark.parametrize("block_words", [1, 7, numset.BLOCK_WORDS])
-    def test_from_elements_bitset_matches_sieve(self, monkeypatch, primes_10k, block_words):
+    def test_from_elements_bitset_matches_sieve(self, monkeypatch, block_words):
+        # the oracle packs a plain numpy sieve's flags, not the constructor's bitset
         monkeypatch.setattr(numset, "BLOCK_WORDS", block_words)
-        ns = NumberSet.from_elements(primes_10k.elements, primes_10k.limit)
-        assert np.array_equal(ns._words, primes_10k._words)
+        for limit in (10_007, 2**16 - 1, 2**16 + 1):
+            flags = np.ones(limit + 1, dtype=bool)
+            flags[:2] = False
+            for p in range(2, math.isqrt(limit) + 1):
+                if flags[p]:
+                    flags[p * p :: p] = False
+            expected = np.zeros((limit >> 6) + 1, dtype=np.uint64)
+            packed = np.packbits(flags, bitorder="little")
+            expected.view(np.uint8)[: packed.size] = packed
+            primes = primes_up_to(limit)
+            assert np.array_equal(primes._words, expected), limit
+            ns = NumberSet.from_elements(np.flatnonzero(flags), limit)
+            assert np.array_equal(ns._words, expected), limit
 
     def test_from_elements_holds_no_full_size_temporaries(self):
         # the copy of the elements and the bitset, plus blocks of temporaries

@@ -110,6 +110,23 @@ class TestPerturbPrimes:
                 for seed in seeds:
                     assert len(perturb_primes(limit, seed)) == count, (limit, seed)
 
+    @given(limit=st.integers(min_value=3, max_value=3000), seed=st.integers(0, 2**64 - 1))
+    @example(limit=10, seed=4)  # [2, 3, 6, 8]: 2 -> 3 with 3 -> 2, put in order
+    @example(limit=10, seed=1)  # [1, 4, 6, 8]: 3, 5, 7, two collisions in a chain
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sequential_reference_anywhere(self, limit, seed):
+        assert perturb_primes(limit, seed).elements.tolist() == sequential_perturb(limit, seed)
+
+    def test_holds_no_full_size_temporaries(self):
+        # the elements and the bitset, plus one sieve segment (+1.9 MiB measured)
+        tracemalloc.start()
+        try:
+            ns = perturb_primes(10_000_000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ns.elements.nbytes + ns._words.nbytes + 2**21, peak
+
     @pytest.mark.parametrize("seed", [0, 7, 42])
     def test_every_element_moved_by_one(self, seed):
         ns = perturb_primes(50_000, seed)
