@@ -1,25 +1,26 @@
 """Goldbach-style verification over a NumberSet.
 
+Both parts of a pair summing to an even have one parity c, and the set
+stores its members by parity: class c holds 2i + c at bit i. Everything
+here reads those classes at half resolution.
+
 The hot path answers, for every even number in a range, whether it splits
 as q1 + q2 with both parts in the set. It is a word-parallel sweep: a
-bitset over one bucket of evens collects, for each element q1 in turn, the
-set's membership bits shifted down by q1, so one bitset OR settles every
-even of the bucket for that q1. Once the open evens no longer outnumber the
-bitset's words, the few left go to the one candidate scan, which also gives
-every canonical smallest-q1 pair (find_representation is that scan on a
-single even). It tries q1 upward, or q2 downward above limit + 1, a chunk
-of candidates at a time on every open even; evens it cannot split are
-failures.
+bitset with one bit per even of a bucket collects, for each element q1 in
+turn, a window of class q1 & 1 starting at q1's offset, so one bitset OR
+settles every even of the bucket for that q1. Once the open evens are few,
+they go to the one candidate scan, which also gives every canonical
+smallest-q1 pair (find_representation is that scan on a single even). It
+tries q1 upward, or q2 downward above limit + 1, a chunk of candidates at
+a time on every open even; evens it cannot split are failures.
 
-Representation counts r(2n) = |A_n ∩ B_n| (the paper's identity) split by
-parity: both parts of a pair have one parity c, and with class c holding
-the members 2i + c at bit i, r(2n) sums each class's pairs of indices
-i1 <= i2 with i1 + i2 = n - c. A dense class is counted at half resolution by
-one AND + popcount of its words against a bit-reversed window, an aligned
-slice of its reversal pre-shifted for the sum mod 64; a class with only a
-handful of members (the primes' evens, a perturbed set's odds) is read
-from its table of pair sums. check_range counts its sampled evens one
-residue of n mod 64 at a time, so each shifted copy is built once.
+Representation counts r(2n) = |A_n ∩ B_n| (the paper's identity) sum each
+class's pairs of indices i1 <= i2 with i1 + i2 = n - c, counted by one
+AND + popcount of the class's words against a bit-reversed window, an
+aligned slice of its reversal pre-shifted for the sum mod 64, over the
+indices between the class's first and last members. check_range counts
+its sampled evens one residue of n mod 64 at a time, so each shifted copy
+is built once.
 Distance sets A_n/B_n and their disjointness are materialized only for
 diagnostics and small-scale equivalence tests.
 """
@@ -40,7 +41,6 @@ SAMPLE_STRIDE = 1_000
 _SCAN_TESTS = 256  # candidate tests per scan step, shared by the open evens
 
 _U64 = np.uint64
-_ODD_BITS = _U64(0xAAAA_AAAA_AAAA_AAAA)  # bits 1, 3, ..., 63
 
 
 @dataclass(frozen=True)
@@ -133,19 +133,19 @@ def pair_count(setQ: NumberSet, even2n: int) -> int:
 def _class_count(parity: ParityClass, s: int) -> int:
     """Pairs i1 <= i2 of class members with i1 + i2 = s.
 
-    A sparse class looks s up in its pair-sum table. A dense class ANDs
-    its own words over [i_lo, s >> 1] with the matching aligned slice of
-    its reversal slot for s, masks i1 > s >> 1 in the top word and
-    popcounts. i1 < i_lo needs no mask: any such i1 has its partner s - i1
-    past the class's last bit, which reads 0.
+    Only i1 in [i_lo, s >> 1], i_lo = max(first, s - last), can pair:
+    below first i1 is no member, and below s - last its partner s - i1 is
+    none. Those words are ANDed with the matching aligned slice of the
+    class's reversal slot for s, i1 > s >> 1 is masked in the top word,
+    and the result popcounted; the bits below i_lo in the first word read
+    0 on one side or the other. A one-member class has a range only for
+    s = 2 * first, so it builds a slot for that sum alone.
     """
-    if parity.pair_sums is not None:
-        return parity.pair_sums.get(s, 0)
-    words = parity.words
     h = s >> 1
-    i_lo = max(0, s - ((words.size << 6) - 1))
+    i_lo = max(parity.first, s - parity.last)
     if i_lo > h:
         return 0
+    words = parity.words
     w_lo, w_hi = i_lo >> 6, h >> 6
     # bit j of B is member s - (64 * w_lo + j), read from bit start of the
     # reversal; start >= -63, and start & 63 == ~s & 63, the slot's key
@@ -216,8 +216,12 @@ def _scan(words: np.ndarray, keys: np.ndarray, cands: np.ndarray, sign: int, out
     lone even tests a vector at once and thousands test one candidate each.
     A step stops at the half of the first even to run out, so every tested
     partner e - c lies in [1, limit]; evens whose half the scan has passed
-    fail and leave.
+    fail and leave. The partner e - q of an element q has q's parity, so
+    in the class-split bitset `words`, T bits a class, it is bit
+    (q & 1) * T - ((q + 1) >> 1) + e / 2: one offset per candidate, plus
+    e / 2 per even.
     """
+    class_bits = words.size << 5  # T
     pos = np.arange(keys.size)
     k = 0
     while keys.size and k < cands.size:
@@ -227,14 +231,15 @@ def _scan(words: np.ndarray, keys: np.ndarray, cands: np.ndarray, sign: int, out
         if not keys.size:
             return
         chunk = chunk[: chunk.searchsorted(keys[0] >> 1, side="right"), None]
+        q = cands[k : k + chunk.size, None]
         k += chunk.size
-        # partners e - c, one row per candidate
-        hits = bits_at(words, keys - chunk if sign > 0 else chunk - keys)
+        # partners e - q, one row per candidate
+        hits = bits_at(words, ((q & 1) * class_bits - ((q + 1) >> 1)) + ((sign * keys) >> 1))
         found = hits.any(axis=0)
         hit = found.nonzero()[0]
         if hit.size:
             # an even's first hit is its smallest q1 (up) or largest q2 (down)
-            c = sign * chunk[hits[:, hit].argmax(axis=0), 0]
+            c = q[hits[:, hit].argmax(axis=0), 0]
             out[pos[hit]] = c if sign > 0 else -keys[hit] - c
             if hit.size == keys.size:
                 return
@@ -254,24 +259,28 @@ def _bucket_bounds(lo: int, hi: int, width: int) -> list[tuple[int, int]]:
 def _sweep_open(setQ: NumberSet, lo: int, hi: int) -> np.ndarray:
     """Evens in [lo, hi] left unsplit by a word-parallel sweep over q1.
 
-    Bit i of R stands for the integer lo + i; odd ones start set. OR-ing in
-    the set's bits over [lo - q1, hi - q1] marks every even e with
-    e - q1 in the set. Elements go in ascending order until the open evens
-    no longer outnumber R's words (or 2 * q1 > hi, past which a new pair
-    would repeat one already found); the rest are left to the scan.
-    Meant for hi <= limit + 1, where small q1 split most evens.
+    Bit j of R stands for the even lo + 2j. Its partner lo + 2j - q1 has
+    q1's parity and is bit ((lo - q1) >> 1) + j of class q1 & 1, so OR-ing
+    in that class's window from (lo - q1) >> 1 marks every even e with
+    e - q1 in the set. Elements go in ascending order until at most one
+    even per 64 integers of [lo, hi] is open (or 2 * q1 > hi, past which a
+    new pair would repeat one already found); the rest are left to the
+    scan. Meant for hi <= limit + 1, where small q1 split most evens.
     """
-    nbits = hi - lo + 1
-    R = np.full((nbits + 63) >> 6, _ODD_BITS, dtype=np.uint64)
+    nbits = ((hi - lo) >> 1) + 1
+    R = np.zeros((nbits + 63) >> 6, dtype=np.uint64)
     if nbits & 63:
-        R[-1] |= ~_U64((1 << (nbits & 63)) - 1)  # padding past hi counts as settled
+        R[-1] = ~_U64((1 << (nbits & 63)) - 1)  # padding past hi counts as settled
+    classes = [setQ.parity_class(c).words for c in (0, 1)]
+    few = ((hi - lo) >> 6) + 1
     for q1 in map(int, setQ.elements):
         open_evens = (R.size << 6) - int(np.bitwise_count(R).sum())
-        if open_evens <= R.size or 2 * q1 > hi:
+        if open_evens <= few or 2 * q1 > hi:
             break
-        R |= extract_window(setQ._words, lo - q1, hi - q1)
+        a = (lo - q1) >> 1
+        R |= extract_window(classes[q1 & 1], a, a + nbits - 1)
     bits = np.unpackbits(R.view(np.uint8), count=nbits, bitorder="little")
-    return lo + np.flatnonzero(bits == 0)
+    return lo + 2 * np.flatnonzero(bits == 0)
 
 
 def _bucket_failures(setQ: NumberSet, b_lo: int, b_hi: int) -> list[int]:
@@ -284,12 +293,12 @@ def _bucket_failures(setQ: NumberSet, b_lo: int, b_hi: int) -> list[int]:
 def _count_by_residue(setQ: NumberSet, evens: np.ndarray) -> np.ndarray:
     """pair_count of every even, one residue of n = even/2 mod 64 at a time.
 
-    pair_count reads each dense parity class c through its one-slot
-    reversal, keyed by the class's index sum n - c mod 64, so n mod 64
-    fixes both keys, and counting the evens grouped by it builds each slot
-    once. The pass runs in the calling thread: on a 2-vCPU host two
-    threads sharing it counted slower than one (sampled primes to 2e7,
-    1.48 s against 0.99 s).
+    pair_count reads each parity class c through its one-slot reversal,
+    keyed by the class's index sum n - c mod 64, so n mod 64 fixes both
+    keys, and counting the evens grouped by it builds each slot once. The
+    pass runs in the calling thread: on a 2-vCPU host two threads sharing
+    it counted slower than one (sampled primes to 2e7, 1.48 s against
+    0.99 s).
     """
     counts = np.empty(evens.size, dtype=np.int64)
     order = np.argsort((evens >> 1) & 63, kind="stable")

@@ -1,22 +1,25 @@
-"""Core integer-set structure: packed bitset plus sorted elements, and prime sieving.
+"""Core integer-set structure: sorted elements plus a parity-split bitset, and prime sieving.
 
 A NumberSet is an immutable sorted set of naturals >= 1 living in the
 universe [1, limit]: a sorted int64 element array, for rank queries and
-ordered scans, and a packed uint64 bitset (bit i of word w is the integer
-64*w + i) for membership, which the constructor alone builds from it.
+ordered scans, and one packed uint64 array for membership, which the
+constructor alone builds from it. The array holds the set's two parity
+classes, the even members and then the odd ones: class c is one half of
+it, with the member 2i + c at bit i (bit i of word w is 64*w + i), since
+a sum of two elements is even only when both share a parity.
 
 The module also owns the shared on-disk set format (its reader, numpy's
 text parser backed by the per-line rules, is in _setfile), a cached full
-bit-reversal, and the packed-window bit helpers and two parity classes
-(the even and the odd members, each packed at half resolution) that the
-Goldbach checker builds its sweep and representation counts on.
+bit-reversal, and the packed-window bit helpers and class views
+(ParityClass) that the Goldbach checker builds its sweep, scan and
+representation counts on.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -31,27 +34,13 @@ _ONE = np.uint64(1)
 _U64 = np.uint64
 
 # words (or elements) per block in the passes that would otherwise hold
-# full-size temporaries: building a bitset from elements, unzipping parity
-# classes, building their slots; even, so a block of source words fills
-# whole class words
+# full-size temporaries: packing a bitset from elements, building a
+# class's reversal slot, moving perturbed primes, the similarity scan
 BLOCK_WORDS = 1 << 14
 
 # bit-reversal of a byte, for reversed-window extraction
 _REV8 = np.array(
     [int(f"{i:08b}"[::-1], 2) for i in range(256)], dtype=np.uint8
-)
-
-# bits 0, 2, ..., 62, and the steps that pack them into a word's low half
-_EVEN_BITS = _U64(0x5555_5555_5555_5555)
-_UNZIP_STEPS = tuple(
-    (_U64(shift), _U64(mask))
-    for shift, mask in (
-        (1, 0x3333_3333_3333_3333),
-        (2, 0x0F0F_0F0F_0F0F_0F0F),
-        (4, 0x00FF_00FF_00FF_00FF),
-        (8, 0x0000_FFFF_0000_FFFF),
-        (16, 0x0000_0000_FFFF_FFFF),
-    )
 )
 
 
@@ -60,7 +49,8 @@ class NumberSet:
 
     The constructor keeps a strictly increasing 1-D int64 array of
     elements >= 1, that nothing else holds, uncopied and read-only, and
-    packs the bitset from it; limit None takes the last element.
+    packs the bitset from it: (limit >> 7) + 1 words per parity class,
+    even class first. limit None takes the last element.
     :meth:`from_elements` copies a caller's elements first.
     """
 
@@ -81,40 +71,33 @@ class NumberSet:
             raise DomainError(f"element {int(elements[-1])} exceeds limit {limit}")
         if limit < 1:
             raise DomainError("limit must be >= 1")
-        words = np.zeros((limit >> 6) + 1, dtype=np.uint64)
-        for lo in range(0, elements.size, BLOCK_WORDS):
-            block = elements[lo : lo + BLOCK_WORDS]
-            np.bitwise_or.at(words, block >> 6, _ONE << (block & 63).astype(np.uint64))
-        for arr in (words, elements):
-            arr.flags.writeable = False
+        half = (limit >> 7) + 1  # words a class needs for its bit limit >> 1
+        try:
+            words = np.zeros(2 * half, dtype=np.uint64)
+        except (MemoryError, ValueError):  # ValueError past numpy's largest dimension
+            raise DomainError(f"cannot allocate the {16 * half}-byte bitset for limit {limit}") from None
+        _set_bits(words, elements, lambda x: (x & 1) * (half << 6) + (x >> 1))
+        elements.flags.writeable = False
         self.limit = int(limit)
         self.elements = elements
         self._words = words
         self._rev: np.ndarray | None = None
-        self._classes: tuple[ParityClass, ParityClass] | None = None
+        self._classes = (ParityClass(words[:half]), ParityClass(words[half:]))
 
     def reversed_words(self) -> np.ndarray:
-        """Full bit-reversal of the membership bitset, cached on first use.
+        """Full-resolution bit-reversal of the set, cached on first use.
 
-        Bit j of the result is bit (T - 1 - j) of the bitset, T = 64 * word
-        count, so a reversed window becomes an aligned forward read. A
+        Bit j of the result is the integer T - 1 - j, T = 64 * ((limit >> 6)
+        + 1), so a reversed window becomes an aligned forward read. A
         benign race under threads: both sides compute the same array.
         """
         if self._rev is None:
-            rev_bytes = _REV8[self._words.view(np.uint8)[::-1]]
-            rev = rev_bytes.view(np.uint64)
-            rev.flags.writeable = False
-            self._rev = rev
+            rev = np.zeros((self.limit >> 6) + 1, dtype=np.uint64)
+            self._rev = _set_bits(rev, self.elements, lambda x: (rev.size << 6) - 1 - x)
         return self._rev
 
     def parity_class(self, c: int) -> "ParityClass":
-        """The elements 2i + c (c = 0 even, 1 odd), packed at bit i.
-
-        Both classes are unzipped from the bitset on first use and cached;
-        like reversed_words, a race under threads only builds them twice.
-        """
-        if self._classes is None:
-            self._classes = tuple(ParityClass(w) for w in _unzip(self._words))
+        """The elements 2i + c (c = 0 even, 1 odd), packed at bit i."""
         return self._classes[c]
 
     @classmethod
@@ -145,7 +128,8 @@ class NumberSet:
         """True iff x is an element; x must lie in [1, limit]."""
         if not 1 <= x <= self.limit:
             raise DomainError(f"{x} outside universe [1, {self.limit}]")
-        return bool((self._words[x >> 6] >> _U64(x & 63)) & _ONE)
+        bit = (x & 1) * (self._words.size << 5) + (x >> 1)
+        return bool((self._words[bit >> 6] >> _U64(bit & 63)) & _ONE)
 
     __contains__ = contains
 
@@ -165,26 +149,36 @@ class NumberSet:
         return int(self.elements[0])
 
 
+def _set_bits(words: np.ndarray, elements: np.ndarray, bit: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Sets bit(x) of words for every element x, a block at a time; returns words, frozen."""
+    for lo in range(0, elements.size, BLOCK_WORDS):
+        pos = bit(elements[lo : lo + BLOCK_WORDS])
+        np.bitwise_or.at(words, pos >> 6, _ONE << (pos & 63).astype(np.uint64))
+    words.flags.writeable = False
+    return words
+
+
 class ParityClass:
     """One parity class c of a NumberSet: bit i of `words` is the integer 2i + c.
 
-    A class of k members with k(k + 1)/2 <= its word count is sparse (the
-    primes' even class is {2}, a perturbed set's odd class one element):
-    `pair_sums` maps each index sum i1 + i2, i1 <= i2, of two members to
-    how many such pairs there are, so its counts are dict lookups, and its
-    table holds no more entries than the class has words. A dense class
-    has `pair_sums` None and is counted through reversal_slot.
+    `words` is a read-only view of one half of the set's bitset. `first`
+    and `last` are its smallest and largest member indices (0 and -1 when
+    the class is empty), read off its first and last nonzero words, so a
+    count skips every index that has no partner: the primes' even class
+    {2} and a perturbed set's lone odd element reach a word AND for one
+    index sum only.
     """
 
-    __slots__ = ("words", "pair_sums", "_shifted")
+    __slots__ = ("words", "first", "last", "_shifted")
 
     def __init__(self, words: np.ndarray):
-        words.flags.writeable = False
         self.words = words
-        k = int(np.bitwise_count(words).sum())
-        self.pair_sums: dict[int, int] | None = (
-            _pair_sums(words) if k * (k + 1) // 2 <= words.size else None
-        )
+        nonzero = words != 0
+        w0, w1 = int(nonzero.argmax()), words.size - 1 - int(nonzero[::-1].argmax())
+        low, high = int(words[w0]), int(words[w1])
+        # an empty class gets first > last, so no count reaches its words
+        self.first = (w0 << 6) + (low & -low).bit_length() - 1 if low else 0
+        self.last = (w1 << 6) + high.bit_length() - 1 if low else -1
         self._shifted: tuple[int, np.ndarray] | None = None
 
     def reversal_slot(self, s: int) -> np.ndarray:
@@ -221,36 +215,6 @@ class ParityClass:
         out.flags.writeable = False
         self._shifted = (key, out)
         return out
-
-
-def _pair_sums(words: np.ndarray) -> dict[int, int]:
-    """{i1 + i2: number of member pairs i1 <= i2} of a packed bitset."""
-    nz = np.flatnonzero(words)
-    bits = np.unpackbits(words[nz].view(np.uint8), bitorder="little").reshape(-1, 64)
-    rows, cols = np.nonzero(bits)
-    idx = (nz[rows] << 6) + cols
-    i1, i2 = np.triu_indices(idx.size)
-    sums, counts = np.unique(idx[i1] + idx[i2], return_counts=True)
-    return dict(zip(sums.tolist(), counts.tolist()))
-
-
-def _unzip(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both parity classes of a bitset: bit i of class c is bit 2i + c of words.
-
-    Block by block, bits c, c + 2, ..., c + 62 of each word are masked and
-    packed into its low half by five shift-or-mask steps; class word j is
-    then the low halves of words 2j and 2j + 1.
-    """
-    classes = tuple(np.zeros((words.size + 1) >> 1, dtype=np.uint64) for _ in range(2))
-    for lo in range(0, words.size, BLOCK_WORDS):
-        src = words[lo : lo + BLOCK_WORDS]
-        for c, out in enumerate(classes):
-            x = (src >> _U64(c)) & _EVEN_BITS
-            for shift, mask in _UNZIP_STEPS:
-                x |= x >> shift
-                x &= mask
-            out.view(np.uint32)[lo : lo + src.size] = x.view(np.uint32)[::2]
-    return classes
 
 
 def bits_at(words: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -377,16 +341,11 @@ def load_set(path: str) -> NumberSet:
     elems, limit, limit_line = _setfile.read(path)
     try:
         return NumberSet(elems, limit)
-    except DomainError:
-        raise
-    except (MemoryError, ValueError):
+    except DomainError as exc:
+        if not str(exc).startswith("cannot allocate"):
+            raise
         # the bitset is sized by the limit header, or else by the last
-        # element, whose line only the per-line rules count; numpy raises
-        # ValueError past its largest array dimension
+        # element, whose line only the per-line rules count
         if limit is None:
-            size, limit_line = int(elems[-1]), _setfile.by_line(path)[2]
-        else:
-            size = limit
-        raise SetFormatError(
-            path, limit_line, f"cannot allocate the {((size >> 6) + 1) * 8}-byte bitset for limit {size}"
-        ) from None
+            limit_line = _setfile.by_line(path)[2]
+        raise SetFormatError(path, limit_line, str(exc)) from None

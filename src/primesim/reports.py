@@ -136,21 +136,17 @@ def plot_series_from_report(path: str) -> list[tuple[str, float, float]]:
     if path.endswith(".csv"):
         return _series_from_model_csv(path)
     doc = load_json(path)
-    series: list[tuple[str, float, float]] = []
-    if "buckets" in doc:
-        for b in doc["buckets"]:
-            series.append(("bucket_min_reps", b["lo"], b["min_reps"]))
-        for n in doc.get("failures", []):
-            series.append(("failures", n, 1))
-    elif "series" in doc:
-        for n, dev in doc["series"]:
-            series.append(("deviation", n, dev))
-    elif "rows" in doc:
-        for r in doc["rows"]:
-            series.append(("log10_f", r["n"], r["log10_f"]))
-    else:
-        raise ValueError(f"{path}: unrecognized report shape")
-    return series
+    try:
+        if "buckets" in doc:
+            mins = [("bucket_min_reps", b["lo"], b["min_reps"]) for b in doc["buckets"]]
+            return mins + [("failures", n, 1) for n in doc.get("failures", [])]
+        if "series" in doc:
+            return [("deviation", n, dev) for n, dev in doc["series"]]
+        if "rows" in doc:
+            return [("log10_f", r["n"], r["log10_f"]) for r in doc["rows"]]
+    except (TypeError, KeyError, ValueError):
+        pass  # JSON that is not one of the shapes above
+    raise ValueError(f"{path}: unrecognized report shape")
 
 
 def _series_from_model_csv(path: str) -> list[tuple[str, float, float]]:

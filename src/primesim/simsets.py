@@ -146,6 +146,8 @@ def shift_set(base: NumberSet, t: int) -> NumberSet:
         raise DomainError("cannot shift an empty set")
     if base.min() + t < 1:
         raise DomainError(f"shift {t} sends {base.min()} below 1")
+    if base.limit + t > np.iinfo(np.int64).max:
+        raise DomainError(f"shift {t} sends limit {base.limit} past 2^63 - 1")
     return NumberSet(base.elements + t, base.limit + t)
 
 

@@ -16,7 +16,7 @@ import pytest
 
 from primesim.checker import a_set, b_set, check_range, disjoint, find_representation, minimal_representations
 from primesim.cli import main as cli_main
-from primesim.numset import bits_at, primes_up_to
+from primesim.numset import primes_up_to
 from primesim.probmodel import (
     coefficient_c,
     coefficient_c_fraction,
@@ -142,8 +142,8 @@ def test_criterion_07_shift_property():
             break
         p_wit = base_q1 + t
         q_wit = (evens - 2 * t - base_q1) + t
-        members_p = bits_at(shifted._words, p_wit)
-        members_q = bits_at(shifted._words, q_wit)
+        members_p = np.isin(p_wit, shifted.elements)
+        members_q = np.isin(q_wit, shifted.elements)
         if not (members_p & members_q).all() or not ((p_wit + q_wit) == evens).all():
             ok = False
             break

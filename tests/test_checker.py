@@ -1,5 +1,6 @@
 import json
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,8 +43,8 @@ def random_sets(draw) -> NumberSet:
 
     Both parity classes dense; mostly even (odd members kept at 5% of the
     density, like a perturbed set); or prime-like, with a drawn handful of
-    0-6 even members. The minority class lands on either side of the
-    parity classes' sparse rule, k(k + 1)/2 <= class word count.
+    0-6 even members. The minority class is often empty or one member, so
+    its first and last members cut the counted index range short.
     """
     limit = draw(
         st.one_of(
@@ -191,6 +192,13 @@ class TestPairCount:
     # the bitset's last bit 383
     @example(ns=NumberSet.from_elements(range(1, 341)))
     @example(ns=primes_up_to(340))
+    # an empty even class, and 255 at the odd class's last bit
+    @example(ns=NumberSet.from_elements(range(1, 256, 2)))
+    # an empty odd class, and 256 at bit 0 of the even class's last word
+    @example(ns=NumberSet.from_elements(range(2, 257, 2), 300))
+    # a one-member class on either side, and 127 at the odd class's last bit
+    @example(ns=NumberSet.from_elements(sorted([5, *range(2, 251, 2)])))
+    @example(ns=NumberSet.from_elements([2, 127]))
     def test_matches_brute_force_on_random_sets(self, ns):
         # every even up to 2 * limit: above limit, u_lo = even - limit is
         # rarely word-aligned and the q2 side reads past the last word
@@ -198,6 +206,19 @@ class TestPairCount:
         for even in range(2, 2 * ns.limit + 1, 2):
             assert pair_count(ns, even) == brute_force_count(members, even), even
 
+
+    def test_first_count_holds_one_slot(self):
+        # a fresh set's first count builds the odd class's reversal slot
+        # and no other full-size array
+        ns = primes_up_to(20_000_000)
+        tracemalloc.start()
+        try:
+            pair_count(ns, 20_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        slot_bytes = (ns.parity_class(1).words.size + 1) * 8
+        assert peak <= slot_bytes + 2**20, (peak, slot_bytes)
 
     @given(data=st.data(), ns=random_sets())
     @settings(max_examples=80, deadline=None)
@@ -327,19 +348,21 @@ class TestCheckRange:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_slot_built_once(self, monkeypatch, primes_100k, workers):
         # the counting pass groups the evens by even/2 mod 64, so the odd
-        # class (the primes' only dense one) builds one slot per residue
-        keys = []
+        # class builds one slot per residue; the even class {2} reaches a
+        # slot only for 4 = 2 + 2, a sampled even here
+        keys = {0: [], 1: []}
         build = ParityClass.reversal_slot
 
         def spy(cls, s):
             if cls._shifted is None or cls._shifted[0] != ~s & 63:
-                keys.append(~s & 63)
+                keys[1 if cls is ns.parity_class(1) else 0].append(~s & 63)
             return build(cls, s)
 
         monkeypatch.setattr(ParityClass, "reversal_slot", spy)
         ns = NumberSet.from_elements(primes_100k.elements, primes_100k.limit)
         check_range(ns, 4, 100_000, workers=workers, bucket_width=10_000, sample_stride=7)
-        assert sorted(keys) == list(range(64))
+        assert sorted(keys[1]) == list(range(64))
+        assert keys[0] in ([], [~2 & 63])
 
     def test_bucket_stats_sampling(self, primes_10k):
         report = check_range(primes_10k, 4, 10_000, sample_stride=100)

@@ -363,6 +363,14 @@ class TestReportPlotData:
             rows = list(csv.DictReader(fh))
         assert rows and all(float(r["y"]) <= 2 for r in rows)
 
+    @pytest.mark.parametrize("text", ["5", '{"buckets": [1]}', '["rows"]', '{"series": [1]}'])
+    def test_json_that_is_not_a_report(self, capsys, tmp_path, text):
+        path = tmp_path / "odd.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "report", "--in", str(path), "--plot-data")
+        assert code == 2
+        assert out == "" and "unrecognized report shape" in err
+
 
 class TestUsageErrors:
     def test_argparse_exit_2_on_bad_flag(self, capsys):
@@ -394,6 +402,21 @@ class TestUsageErrors:
         )
         assert proc.returncode == 2
         assert "cannot allocate" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", [["check", "--lo", "4", "--hi", "100"], ["anb", "--n", "10"]],
+                             ids=["check", "anb"])
+    @pytest.mark.parametrize("shift, message", [(2**62, "cannot allocate"), (10**19, "past 2^63 - 1")],
+                             ids=["unallocatable", "past-int64"])
+    def test_unbuildable_shifted_set_is_an_input_error(self, tmp_path, command, shift, message):
+        env = dict(os.environ, PYTHONPATH=str(Path(primesim.__file__).parents[1]))
+        argv = [*command, "--set", "shifted", "--limit", "100", "--shift", str(shift)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "primesim", *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path, check=False,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"primesim {command[0]}:") and message in proc.stderr
         assert "Traceback" not in proc.stderr
 
 

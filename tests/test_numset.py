@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primesim import _setfile, numset, simsets
@@ -126,7 +126,7 @@ class TestNumberSet:
 
     @pytest.mark.parametrize("block_words", [1, 7, numset.BLOCK_WORDS])
     def test_from_elements_bitset_matches_sieve(self, monkeypatch, block_words):
-        # the oracle packs a plain numpy sieve's flags, not the constructor's bitset
+        # the oracle is a plain numpy sieve's flags, each class flags[c::2]
         monkeypatch.setattr(numset, "BLOCK_WORDS", block_words)
         for limit in (10_007, 2**16 - 1, 2**16 + 1):
             flags = np.ones(limit + 1, dtype=bool)
@@ -134,13 +134,8 @@ class TestNumberSet:
             for p in range(2, math.isqrt(limit) + 1):
                 if flags[p]:
                     flags[p * p :: p] = False
-            expected = np.zeros((limit >> 6) + 1, dtype=np.uint64)
-            packed = np.packbits(flags, bitorder="little")
-            expected.view(np.uint8)[: packed.size] = packed
-            primes = primes_up_to(limit)
-            assert np.array_equal(primes._words, expected), limit
-            ns = NumberSet.from_elements(np.flatnonzero(flags), limit)
-            assert np.array_equal(ns._words, expected), limit
+            for ns in (primes_up_to(limit), NumberSet.from_elements(np.flatnonzero(flags), limit)):
+                assert_classes_match(ns, flags)
 
     def test_from_elements_holds_no_full_size_temporaries(self):
         # the copy of the elements and the bitset, plus blocks of temporaries
@@ -207,20 +202,38 @@ class TestBitWindows:
 
     def test_reversed_words_route_matches_oneshot(self, primes_10k):
         rev = primes_10k.reversed_words()
-        total = primes_10k._words.size << 6
-        bits = np.unpackbits(primes_10k._words.view(np.uint8), bitorder="little")
+        total = ((primes_10k.limit >> 6) + 1) << 6
+        assert rev.size << 6 == total and not rev.flags.writeable
+        bits = np.zeros(total, dtype=np.uint8)
+        bits[primes_10k.elements] = 1
         for a, b in [(1, 100), (17, 1000), (5000, 9999)]:
             via_cache = extract_window(rev, total - 1 - b, total - 1 - a)
             got = np.unpackbits(via_cache.view(np.uint8), count=b - a + 1, bitorder="little")
             assert np.array_equal(got, bits[a : b + 1][::-1])
 
     def test_bits_at(self, primes_10k):
-        xs = np.array([2, 3, 4, 9973, 9974], dtype=np.int64)
-        assert bits_at(primes_10k._words, xs).tolist() == [True, True, False, True, False]
+        # bit i of the odd class is 2i + 1
+        xs = np.array([0, 1, 2, 4986, 4987], dtype=np.int64)
+        got = bits_at(primes_10k.parity_class(1).words, xs)
+        assert got.tolist() == np.isin(2 * xs + 1, primes_10k.elements).tolist() == [
+            False, True, True, True, False
+        ]
 
 
 def unpacked(words: np.ndarray) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), bitorder="little")
+
+
+def assert_classes_match(ns: NumberSet, flags: np.ndarray) -> None:
+    """Class c of ns holds exactly flags[c::2] (flags[x] for x = 0..limit), read-only."""
+    for c in (0, 1):
+        words = ns.parity_class(c).words
+        assert words.size == (ns.limit >> 7) + 1
+        got = unpacked(words)
+        want = flags[c::2]
+        assert np.array_equal(got[: want.size], want), c
+        assert not got[want.size :].any()
+        assert not words.flags.writeable
 
 
 class TestParityClasses:
@@ -228,57 +241,37 @@ class TestParityClasses:
     @pytest.mark.parametrize("k", [1, 3, 8])
     @pytest.mark.parametrize("offset", [-1, 0, 64])
     def test_unzip_matches_unpacked_bits(self, monkeypatch, block_words, k, offset):
-        # limits 128k - 1, 128k and 128k + 64 give an even, an odd and an
-        # even word count; small blocks put block edges inside the bitset
+        # limits 128k - 1, 128k and 128k + 64 end the classes at, past and
+        # inside a class word; small blocks put block edges inside the bitset
         monkeypatch.setattr(numset, "BLOCK_WORDS", block_words)
         limit = 128 * k + offset
         rng = np.random.default_rng(limit)
-        ns = NumberSet.from_elements(np.flatnonzero(rng.random(limit) < 0.4) + 1, limit)
-        bits = unpacked(ns._words)
-        for c in (0, 1):
-            words = ns.parity_class(c).words
-            assert words.size == (ns._words.size + 1) // 2
-            got = unpacked(words)
-            want = bits[c::2]
-            assert np.array_equal(got[: want.size], want), c
-            assert not got[want.size :].any()
-            assert not words.flags.writeable
-
-    def test_sparse_rule_at_its_edge(self):
-        # 3 members, 6 pairs: sparse with 6 class words, dense with 5
-        for limit, sparse in [(64 * 12 - 1, True), (64 * 10 - 1, False)]:
-            ns = NumberSet.from_elements([2, 8, 40, limit], limit)
-            even = ns.parity_class(0)
-            assert even.words.size == (6 if sparse else 5)
-            assert (even.pair_sums is not None) == sparse
-            assert ns.parity_class(1).pair_sums is not None  # one member
-
-    def test_primes_and_perturbed_sets_have_a_sparse_class(self, primes_10k):
-        from primesim.simsets import perturb_primes
-
-        assert primes_10k.parity_class(0).pair_sums == {2: 1}  # 2 + 2
-        assert primes_10k.parity_class(1).pair_sums is None
-        perturbed = perturb_primes(10_000, 1)
-        assert perturbed.parity_class(0).pair_sums is None
-        assert len(perturbed.elements[perturbed.elements % 2 == 1]) == 1
-        assert perturbed.parity_class(1).pair_sums is not None
+        flags = np.zeros(limit + 1, dtype=bool)
+        flags[1:] = rng.random(limit) < 0.4
+        assert_classes_match(NumberSet.from_elements(np.flatnonzero(flags), limit), flags)
 
     @given(
-        members=st.sets(st.integers(min_value=1, max_value=2000), max_size=12),
-        c=st.sampled_from([0, 1]),
+        elems=st.sets(st.integers(min_value=1, max_value=3000), max_size=12),
+        limit=st.integers(min_value=3000, max_value=3200),
     )
     @settings(max_examples=100, deadline=None)
-    def test_pair_sums_match_brute_force(self, members, c):
-        elems = sorted(2 * i + c for i in members if 2 * i + c >= 1)
-        ns = NumberSet.from_elements(elems, 20_000)
-        table = ns.parity_class(c).pair_sums
-        assert table is not None  # 78 pairs at most, 157 class words
-        idx = [(x - c) // 2 for x in elems]
-        brute: dict[int, int] = {}
-        for a in range(len(idx)):
-            for b in range(a, len(idx)):
-                brute[idx[a] + idx[b]] = brute.get(idx[a] + idx[b], 0) + 1
-        assert table == brute
+    @example(elems=set(), limit=3000)  # both classes empty
+    @example(elems={2, 41, 99}, limit=3000)  # a one-member even class
+    @example(elems={3071, 3072}, limit=3072)  # 3071 at the odd class's last bit
+    def test_first_and_last_match_elements(self, elems, limit):
+        ns = NumberSet.from_elements(sorted(elems), limit)
+        for c in (0, 1):
+            idx = [x >> 1 for x in sorted(elems) if x & 1 == c]
+            cls = ns.parity_class(c)
+            assert (cls.first, cls.last) == ((idx[0], idx[-1]) if idx else (0, -1)), c
+
+    def test_primes_and_perturbed_sets_have_a_one_member_class(self, primes_10k):
+        from primesim.simsets import perturb_primes
+
+        assert (primes_10k.parity_class(0).first, primes_10k.parity_class(0).last) == (1, 1)
+        perturbed = perturb_primes(10_000, 1)
+        (odd,) = perturbed.elements[perturbed.elements % 2 == 1]
+        assert (perturbed.parity_class(1).first, perturbed.parity_class(1).last) == (odd >> 1, odd >> 1)
 
     @pytest.mark.parametrize("block_words", [2, 3, numset.BLOCK_WORDS])
     def test_reversal_slot_reads_from_bit_key_minus_64(self, monkeypatch, block_words):
@@ -287,7 +280,6 @@ class TestParityClasses:
         ns = NumberSet.from_elements([1, 2, 63, 64, 65, 127, 200, 255, 301, 509], limit=511)
         for c in (0, 1):
             cls = ns.parity_class(c)
-            assert cls.pair_sums is None
             bits = unpacked(cls.words)
             total = bits.size
             padded = np.concatenate([np.zeros(64, np.uint8), bits[::-1], np.zeros(128, np.uint8)])
@@ -377,14 +369,14 @@ class TestSetFile:
         # numpy refuses the 512 PiB bitset at once, so this allocates nothing
         path = tmp_path / "huge.txt"
         path.write_text(f"# comment\nlimit={2**62}\n5\n")
-        with pytest.raises(SetFormatError, match=r"huge.txt:2: .*576460752303423496-byte bitset"):
+        with pytest.raises(SetFormatError, match=r"huge.txt:2: .*576460752303423504-byte bitset"):
             load_set(str(path))
 
     def test_limit_header_past_numpy_dimensions_reports_line(self, tmp_path):
-        # 2^69 needs 2^63 + 1 words: numpy raises ValueError, not MemoryError
+        # 2^69 needs 2^63 + 2 words: numpy raises ValueError, not MemoryError
         path = tmp_path / "huge.txt"
         path.write_text(f"limit={2**69}\n5\n")
-        with pytest.raises(SetFormatError, match=r"huge.txt:1: .*73786976294838206472-byte bitset"):
+        with pytest.raises(SetFormatError, match=r"huge.txt:1: .*73786976294838206480-byte bitset"):
             load_set(str(path))
 
     def test_bad_limit_header_stays_domain_error(self, tmp_path):
@@ -441,14 +433,13 @@ def reference_load_set(path: str) -> NumberSet:
         raise SetFormatError(path, 1, "no elements and no limit header")
     try:
         return NumberSet.from_elements(np.frombuffer(values, dtype=np.int64), limit)
-    except DomainError:
-        raise
-    except (MemoryError, ValueError):
-        # the bitset is sized by the limit header, or else by the last
-        # element; numpy raises ValueError past its largest array dimension
+    except DomainError as exc:
+        if not str(exc).startswith("cannot allocate"):
+            raise
+        # the bitset is sized by the limit header, or else by the last element
         size = limit if limit is not None else prev
         raise SetFormatError(
-            path, limit_line, f"cannot allocate the {((size >> 6) + 1) * 8}-byte bitset for limit {size}"
+            path, limit_line, f"cannot allocate the {((size >> 7) + 1) * 16}-byte bitset for limit {size}"
         ) from None
 
 
