@@ -195,23 +195,24 @@ def _minimal_q1(setQ: NumberSet, E: np.ndarray) -> np.ndarray:
     Evens up to limit + 1 try q1 upward through the elements. Above it small
     q1 are useless (the complement would exceed the universe), so those try
     q2 downward, and the first hit still gives the smallest q1 = even - q2.
-    Both run one scan; the downward one is mirrored, on keys -even and
-    candidates -q2, so that both ascend again.
+    Both run one scan on the halves even / 2; the downward one is
+    mirrored, on keys -even / 2 and candidates -q2, so that both ascend
+    again.
     """
     out = np.zeros(E.size, dtype=np.int64)
     split = int(E.searchsorted(setQ.limit + 1, side="right"))
-    _scan(setQ._words, E[:split], setQ.elements, 1, out[:split])
+    _scan(setQ._words, E[:split] >> 1, setQ.elements, 1, out[:split])
     if split < E.size:
-        _scan(setQ._words, -E[split:][::-1], setQ.elements[::-1], -1, out[split:][::-1])
+        _scan(setQ._words, -(E[split:][::-1] >> 1), setQ.elements[::-1], -1, out[split:][::-1])
     return out
 
 
 def _scan(words: np.ndarray, keys: np.ndarray, cands: np.ndarray, sign: int, out: np.ndarray) -> None:
-    """Smallest q1 of each even e = sign * keys[i] into out[i], trying cands in order.
+    """Smallest q1 of each even e = 2 * sign * keys[i] into out[i], trying cands in order.
 
     keys and sign * cands ascend, and a candidate c pairs with e as its
     smaller part (q1 <= q2, up) or its larger part (down) while
-    2 * sign * c <= key. Each step tries the next
+    sign * c <= key. Each step tries the next
     max(1, _SCAN_TESTS // open evens) candidates on every open even, so a
     lone even tests a vector at once and thousands test one candidate each.
     A step stops at the half of the first even to run out, so every tested
@@ -219,28 +220,29 @@ def _scan(words: np.ndarray, keys: np.ndarray, cands: np.ndarray, sign: int, out
     fail and leave. The partner e - q of an element q has q's parity, so
     in the class-split bitset `words`, T bits a class, it is bit
     (q & 1) * T - ((q + 1) >> 1) + e / 2: one offset per candidate, plus
-    e / 2 per even.
+    or minus a key per even.
     """
     class_bits = words.size << 5  # T
     pos = np.arange(keys.size)
     k = 0
     while keys.size and k < cands.size:
         chunk = sign * cands[k : k + max(1, _SCAN_TESTS // keys.size)]
-        cut = int(keys.searchsorted(2 * chunk[0]))
+        cut = int(keys.searchsorted(chunk[0]))
         keys, pos = keys[cut:], pos[cut:]
         if not keys.size:
             return
-        chunk = chunk[: chunk.searchsorted(keys[0] >> 1, side="right"), None]
+        chunk = chunk[: chunk.searchsorted(keys[0], side="right"), None]
         q = cands[k : k + chunk.size, None]
         k += chunk.size
         # partners e - q, one row per candidate
-        hits = bits_at(words, ((q & 1) * class_bits - ((q + 1) >> 1)) + ((sign * keys) >> 1))
+        offset = (q & 1) * class_bits - ((q + 1) >> 1)
+        hits = bits_at(words, offset + keys if sign > 0 else offset - keys)
         found = hits.any(axis=0)
         hit = found.nonzero()[0]
         if hit.size:
             # an even's first hit is its smallest q1 (up) or largest q2 (down)
             c = q[hits[:, hit].argmax(axis=0), 0]
-            out[pos[hit]] = c if sign > 0 else -keys[hit] - c
+            out[pos[hit]] = c if sign > 0 else -2 * keys[hit] - c
             if hit.size == keys.size:
                 return
             keys, pos = keys[~found], pos[~found]
