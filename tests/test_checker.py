@@ -206,7 +206,6 @@ class TestPairCount:
         for even in range(2, 2 * ns.limit + 1, 2):
             assert pair_count(ns, even) == brute_force_count(members, even), even
 
-
     def test_first_count_holds_one_slot(self):
         # a fresh set's first count builds the odd class's reversal slot
         # and no other full-size array

@@ -257,7 +257,7 @@ class TestParityClasses:
     @settings(max_examples=100, deadline=None)
     @example(elems=set(), limit=3000)  # both classes empty
     @example(elems={2, 41, 99}, limit=3000)  # a one-member even class
-    @example(elems={3071, 3072}, limit=3072)  # 3071 at the odd class's last bit
+    @example(elems={3198, 3199}, limit=3199)  # each at its class's last bit
     def test_first_and_last_match_elements(self, elems, limit):
         ns = NumberSet.from_elements(sorted(elems), limit)
         for c in (0, 1):
