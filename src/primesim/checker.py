@@ -34,7 +34,6 @@ import numpy as np
 
 from .errors import DomainError
 from .numset import NumberSet, ParityClass, extract_window, bits_at
-from .simsets import SetSpec
 
 BUCKET_WIDTH = 1_000_000
 SAMPLE_STRIDE = 1_000
@@ -76,7 +75,6 @@ class CheckReport:
     range is failure-free ("no failure >= lo").
     """
 
-    set_spec: SetSpec | None
     lo: int
     hi: int
     failures: list[int]
@@ -139,12 +137,15 @@ def _class_count(parity: ParityClass, s: int) -> int:
     class's reversal slot for s, i1 > s >> 1 is masked in the top word,
     and the result popcounted; the bits below i_lo in the first word read
     0 on one side or the other. A one-member class has a range only for
-    s = 2 * first, so it builds a slot for that sum alone.
+    s = 2 * first, where its one pair is the member with itself, so it
+    builds no slot.
     """
     h = s >> 1
     i_lo = max(parity.first, s - parity.last)
     if i_lo > h:
         return 0
+    if parity.first == parity.last:
+        return 1
     words = parity.words
     w_lo, w_hi = i_lo >> 6, h >> 6
     # bit j of B is member s - (64 * w_lo + j), read from bit start of the
@@ -317,7 +318,6 @@ def check_range(
     slow_mode: bool = False,
     bucket_width: int = BUCKET_WIDTH,
     sample_stride: int = SAMPLE_STRIDE,
-    set_spec: SetSpec | None = None,
 ) -> CheckReport:
     """Verify every even number in [lo, hi] and collect failure/stat buckets.
 
@@ -360,7 +360,6 @@ def check_range(
     ]
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return CheckReport(
-        set_spec=set_spec,
         lo=lo,
         hi=hi,
         failures=failures,

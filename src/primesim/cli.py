@@ -12,30 +12,28 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import astuple
 
 from . import __version__
 from .checker import BUCKET_WIDTH, SAMPLE_STRIDE, a_set, b_set, check_range, disjoint, find_representation
 from .errors import DomainError
 from .numset import primes_up_to, save_set
 from .probmodel import coefficient_c, model_table, tail_integral
-from .reports import (
-    SCHEMA_VERSION,
-    check_report_csv,
-    check_report_dict,
-    dump_json,
-    model_table_csv,
-    model_table_dict,
-    plot_data_csv,
-    plot_series_from_report,
-)
+from .reports import document, plot_series_from_report, table_csv
 from .simsets import SetSpec, build, deviation_series, similarity
 
 _KINDS = ("primes", "perturbed", "shifted", "file")
 
 # Rows in one prob table; a row near n = 1e6 takes about 1 ms.
 PROB_MAX_ROWS = 10_000
+# Largest row n of a prob table: one row at n = 1e9 takes about 0.6 s.
+PROB_MAX_N = 10**9
 # Largest --c-from-pmax: the exact product over primes to 1e5 takes about 0.4 s.
 PROB_MAX_C_PMAX = 100_000
+
+# Table columns in BucketStats and ModelRow field order; JSON rows use them as keys.
+BUCKET_COLUMNS = ("lo", "hi", "sampled", "min_reps", "mean_reps")
+MODEL_COLUMNS = ("n", "k", "domain_size", "damping_c", "ln_P_exact", "log10_f", "log10_tail")
 
 # Report-header keys per command, in output order; the set spec follows them.
 # --workers and --out stay out: report bodies must be byte-identical for any
@@ -108,10 +106,7 @@ def _run_sieve(args: argparse.Namespace) -> int:
     if args.out:
         save_set(ns, args.out, header_comments=_header_lines(args))
     else:
-        doc = _header(args)
-        doc["limit"] = ns.limit
-        doc["count"] = len(ns)
-        sys.stdout.write(dump_json({"schema_version": SCHEMA_VERSION, **doc}))
+        sys.stdout.write(document(_header(args), limit=ns.limit, count=len(ns)))
     return 0
 
 
@@ -122,18 +117,17 @@ def _run_gen_set(args: argparse.Namespace) -> int:
         primes = primes_up_to(min(ns.limit, args.spec.limit or ns.limit))
         report = similarity(ns, primes)
         grid, devs = deviation_series(ns, primes)
-        doc_out = {
-            "schema_version": SCHEMA_VERSION,
-            **_header(args),
-            "spec": args.spec.to_dict(),
-            "max_deviation": report.max_deviation,
-            "bound_c": report.bound_c,
-            "samples": report.samples,
-            "witness_n": report.witness_n,
-            "series": [[int(n), int(d)] for n, d in zip(grid, devs)],
-        }
+        text = document(
+            _header(args),
+            spec=args.spec.to_dict(),
+            max_deviation=report.max_deviation,
+            bound_c=report.bound_c,
+            samples=report.samples,
+            witness_n=report.witness_n,
+            series=[[int(n), int(d)] for n, d in zip(grid, devs)],
+        )
         with open(args.deviation_report, "w", encoding="utf-8") as fh:
-            fh.write(dump_json(doc_out))
+            fh.write(text)
     return 0
 
 
@@ -147,12 +141,21 @@ def _run_check(args: argparse.Namespace) -> int:
         slow_mode=args.slow_mode,
         bucket_width=args.bucket_width,
         sample_stride=args.sample_stride,
-        set_spec=args.spec,
     )
+    rows = [astuple(b) for b in report.buckets]
     if args.fmt == "csv":
-        _emit(args, check_report_csv(report, _header_lines(args)))
+        _emit(args, table_csv(_header_lines(args), BUCKET_COLUMNS, rows))
     else:
-        _emit(args, dump_json(check_report_dict(report, _header(args))))
+        _emit(args, document(
+            _header(args),
+            spec=args.spec.to_dict(),
+            lo=report.lo,
+            hi=report.hi,
+            failures=report.failures,
+            threshold_N0=report.threshold_n0,
+            buckets=[dict(zip(BUCKET_COLUMNS, row)) for row in rows],
+            wall_ms=report.wall_ms,
+        ))
     blocking = [n for n in report.failures if n >= args.allow_below]
     return 1 if blocking else 0
 
@@ -163,18 +166,16 @@ def _run_anb(args: argparse.Namespace) -> int:
     a = a_set(ns, n)
     b = b_set(ns, n)
     rep = find_representation(ns, 2 * n)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        **_header(args),
-        "n": n,
-        "a_members": a.members.tolist(),
-        "b_members": b.members.tolist(),
-        "a_size": len(a),
-        "b_size": len(b),
-        "disjoint": disjoint(a, b),
-        "representation": list(rep) if rep else None,
-    }
-    _emit(args, dump_json(doc))
+    _emit(args, document(
+        _header(args),
+        n=n,
+        a_members=a.members.tolist(),
+        b_members=b.members.tolist(),
+        a_size=len(a),
+        b_size=len(b),
+        disjoint=disjoint(a, b),
+        representation=list(rep) if rep else None,
+    ))
     return 0
 
 
@@ -195,25 +196,26 @@ def _run_prob(args: argparse.Namespace) -> int:
             )
     else:
         ns = [args.n]
-    rows = model_table(ns, p_max=args.p_max, damping_c=damping)
+    n_top = max(ns, default=0)
+    if n_top > PROB_MAX_N:
+        raise DomainError(f"--n or --n-max gives a row at n = {n_top}, above the cap of {PROB_MAX_N}")
+    rows = [astuple(r) for r in model_table(ns, p_max=args.p_max, damping_c=damping)]
     if args.fmt == "csv":
-        _emit(args, model_table_csv(rows, _header_lines(args)))
+        _emit(args, table_csv(_header_lines(args), MODEL_COLUMNS, rows))
     else:
-        _emit(args, dump_json(model_table_dict(rows, _header(args))))
+        _emit(args, document(_header(args), rows=[dict(zip(MODEL_COLUMNS, row)) for row in rows]))
     return 0
 
 
 def _run_tail(args: argparse.Namespace) -> int:
     lp = tail_integral(args.tail_from, args.damping_c)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        **_header(args),
-        "from": args.tail_from,
-        "damping_c": args.damping_c,
-        "ln_tail": lp.ln_value,
-        "log10_tail": lp.log10,
-    }
-    _emit(args, dump_json(doc))
+    _emit(args, document(
+        _header(args),
+        **{"from": args.tail_from},
+        damping_c=args.damping_c,
+        ln_tail=lp.ln_value,
+        log10_tail=lp.log10,
+    ))
     return 0
 
 
@@ -221,7 +223,7 @@ def _run_report(args: argparse.Namespace) -> int:
     if not args.plot_data:
         raise DomainError("report currently supports --plot-data only")
     series = plot_series_from_report(args.input_path)
-    _emit(args, plot_data_csv(series))
+    _emit(args, table_csv([], ("series", "x", "y"), series))
     return 0
 
 

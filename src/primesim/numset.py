@@ -28,7 +28,8 @@ from .errors import DomainError, SetFormatError
 if sys.byteorder != "little":
     raise ImportError("packed bitset layout assumes a little-endian platform")
 
-DEFAULT_SEGMENT_SIZE = 1 << 20
+# integers per sieve segment: beyond its output, the sieve holds one segment
+SEGMENT_SIZE = 1 << 20
 
 _ONE = np.uint64(1)
 _U64 = np.uint64
@@ -164,9 +165,9 @@ class ParityClass:
     `words` is a read-only view of one half of the set's bitset. `first`
     and `last` are its smallest and largest member indices (0 and -1 when
     the class is empty), read off its first and last nonzero words, so a
-    count skips every index that has no partner: the primes' even class
-    {2} and a perturbed set's lone odd element reach a word AND for one
-    index sum only.
+    count skips every index that has no partner, and a one-member class
+    (the primes' even class {2}, a perturbed set's lone odd element) is
+    counted without reading its words.
     """
 
     __slots__ = ("words", "first", "last", "_shifted")
@@ -279,7 +280,7 @@ def _sieve_segment(lo: int, hi: int, odd_base: list[int]) -> np.ndarray:
     return seg
 
 
-def _prime_elements(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
+def _prime_elements(limit: int) -> np.ndarray:
     """Every prime in [2, limit], in one int64 array that nothing else holds.
 
     The array is allocated first, at the Rosser-Schoenfeld bound
@@ -291,8 +292,6 @@ def _prime_elements(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.
     """
     if limit < 2:
         raise DomainError("primes_up_to needs limit >= 2")
-    if segment_size < 1:
-        raise DomainError("segment_size must be positive")
     bound = int(1.25506 * limit / math.log(limit)) + 1
     try:
         out = np.empty(bound, dtype=np.int64)
@@ -301,17 +300,17 @@ def _prime_elements(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.
     root = math.isqrt(limit)
     odd_base = _prime_elements(root)[1:].tolist() if root >= 2 else []
     n = 0
-    for lo in range(0, limit + 1, segment_size):
-        seg = np.flatnonzero(_sieve_segment(lo, min(lo + segment_size, limit + 1), odd_base))
+    for lo in range(0, limit + 1, SEGMENT_SIZE):
+        seg = np.flatnonzero(_sieve_segment(lo, min(lo + SEGMENT_SIZE, limit + 1), odd_base))
         np.add(seg, lo, out=out[n : n + seg.size])
         n += seg.size
     out.resize(n, refcheck=False)
     return out
 
 
-def primes_up_to(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> NumberSet:
-    """All primes in [2, limit]; beyond the set, memory is one segment of segment_size numbers."""
-    return NumberSet(_prime_elements(limit, segment_size), limit)
+def primes_up_to(limit: int) -> NumberSet:
+    """All primes in [2, limit]; beyond the set, memory is one segment of SEGMENT_SIZE numbers."""
+    return NumberSet(_prime_elements(limit), limit)
 
 
 def save_set(ns: NumberSet, path: str, header_comments: Iterable[str] = ()) -> None:

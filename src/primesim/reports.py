@@ -1,9 +1,10 @@
-"""Report serialization: canonical JSON, CSV summaries, plot-data series.
+"""Report formats: canonical JSON documents and CSV tables.
 
 Serialization is canonical — fixed key order, fixed float handling — so
 identical runs produce byte-identical files and a parsed report re-dumps
 to the exact input bytes. Non-finite floats (exact-zero probabilities in
-log space) become JSON nulls.
+log space) become JSON nulls and empty CSV cells. What each report holds
+is up to its command; this module owns only the formats.
 """
 
 from __future__ import annotations
@@ -12,14 +13,9 @@ import csv
 import io
 import json
 import math
-from typing import Any
-
-from .checker import CheckReport
-from .probmodel import ModelRow
+from typing import Any, Iterable, Sequence
 
 SCHEMA_VERSION = 1
-
-MODEL_CSV_COLUMNS = ("n", "k", "domain_size", "damping_c", "ln_P_exact", "log10_f", "log10_tail")
 
 
 def _clean(value: Any) -> Any:
@@ -41,87 +37,19 @@ def load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def check_report_dict(report: CheckReport, header: dict) -> dict:
-    """Check report as a JSON-ready dict; field names are frozen."""
-    out: dict[str, Any] = {"schema_version": SCHEMA_VERSION}
-    out.update(header)
-    out["spec"] = report.set_spec.to_dict() if report.set_spec else None
-    out["lo"] = report.lo
-    out["hi"] = report.hi
-    out["failures"] = list(report.failures)
-    out["threshold_N0"] = report.threshold_n0
-    out["buckets"] = [
-        {
-            "lo": b.lo,
-            "hi": b.hi,
-            "sampled": b.sampled,
-            "min_reps": b.min_reps,
-            "mean_reps": b.mean_reps,
-        }
-        for b in report.buckets
-    ]
-    out["wall_ms"] = report.wall_ms
-    return out
+def document(header: dict, **fields: Any) -> str:
+    """A JSON report: the schema version, the run header, then the fields in order."""
+    return dump_json({"schema_version": SCHEMA_VERSION, **header, **fields})
 
 
-def check_report_csv(report: CheckReport, header_lines: list[str]) -> str:
-    """CSV summary, one bucket per row; '#' lines carry the run header."""
+def table_csv(header_lines: Iterable[str], columns: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
+    """A CSV report: one '#' line per header line, the column names, one line per row."""
     buf = io.StringIO()
     for line in header_lines:
         buf.write(f"# {line}\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["lo", "hi", "sampled", "min_reps", "mean_reps"])
-    for b in report.buckets:
-        writer.writerow([b.lo, b.hi, b.sampled, b.min_reps, repr(b.mean_reps)])
-    return buf.getvalue()
-
-
-def model_table_csv(rows: list[ModelRow], header_lines: list[str]) -> str:
-    buf = io.StringIO()
-    for line in header_lines:
-        buf.write(f"# {line}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(MODEL_CSV_COLUMNS)
-    for r in rows:
-        writer.writerow(
-            [
-                r.n,
-                r.k,
-                r.domain_size,
-                repr(r.damping_c),
-                "" if r.ln_p_exact is None or not math.isfinite(r.ln_p_exact) else repr(r.ln_p_exact),
-                repr(r.log10_f),
-                "" if r.log10_tail is None else repr(r.log10_tail),
-            ]
-        )
-    return buf.getvalue()
-
-
-def model_table_dict(rows: list[ModelRow], header: dict) -> dict:
-    out: dict[str, Any] = {"schema_version": SCHEMA_VERSION}
-    out.update(header)
-    out["rows"] = [
-        {
-            "n": r.n,
-            "k": r.k,
-            "domain_size": r.domain_size,
-            "damping_c": r.damping_c,
-            "ln_P_exact": r.ln_p_exact,
-            "log10_f": r.log10_f,
-            "log10_tail": r.log10_tail,
-        }
-        for r in rows
-    ]
-    return out
-
-
-def plot_data_csv(series: list[tuple[str, float, float]]) -> str:
-    """Long-format numeric series: one (series, x, y) row per point."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["series", "x", "y"])
-    for name, x, y in series:
-        writer.writerow([name, x, y])
+    writer.writerow(columns)
+    writer.writerows(_clean(list(rows)))
     return buf.getvalue()
 
 

@@ -9,9 +9,9 @@ import pytest
 
 import primesim
 from primesim import cli
-from primesim.cli import PROB_MAX_C_PMAX, PROB_MAX_ROWS, main
+from primesim.cli import PROB_MAX_C_PMAX, PROB_MAX_N, PROB_MAX_ROWS, main
 from primesim.numset import NumberSet, load_set, save_set
-from primesim.reports import dump_json, load_json
+from primesim.reports import document, dump_json, load_json, table_csv
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -299,6 +299,38 @@ class TestProb:
         assert code == 2
         assert out == "" and "6 rows; the cap is 5" in err
 
+    def test_n_at_cap_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "PROB_MAX_N", 5000)
+        code, out, _ = run_cli(capsys, "prob", "--n", "5000")
+        assert code == 0
+        assert json.loads(out)["rows"][0]["n"] == 5000
+        code, out, err = run_cli(capsys, "prob", "--n", "5001")
+        assert code == 2
+        assert out == "" and "5001" in err and "cap of 5000" in err
+
+    def test_n_max_at_cap_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "PROB_MAX_N", 5000)
+        argv = ("prob", "--n", "1000", "--n-step", "1000", "--n-max")
+        # the cap is on the largest row, not on --n-max itself
+        code, out, _ = run_cli(capsys, *argv, "5999")
+        assert code == 0
+        assert [r["n"] for r in json.loads(out)["rows"]] == [1000, 2000, 3000, 4000, 5000]
+        code, out, err = run_cli(capsys, *argv, "6000")
+        assert code == 2
+        assert out == "" and "cap of 5000" in err
+
+    def test_huge_n_rejected(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(primesim.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "primesim", "prob", "--n", "1000000000000000000000"],
+            capture_output=True, text=True, env=env, cwd=tmp_path, check=False, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("primesim prob:")
+        assert str(PROB_MAX_N) in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 class TestTail:
     def test_paper_scale_value(self, capsys):
         code, out, _ = run_cli(capsys, "tail", "--from", "20000")
@@ -370,6 +402,13 @@ class TestReportPlotData:
         code, out, err = run_cli(capsys, "report", "--in", str(path), "--plot-data")
         assert code == 2
         assert out == "" and "unrecognized report shape" in err
+
+
+class TestReportFormats:
+    def test_non_finite_values_are_empty(self):
+        # no golden report reaches a non-finite value
+        assert table_csv([], ("a", "b", "c"), [(float("-inf"), None, float("nan"))]) == "a,b,c\n,,\n"
+        assert '"x": null' in document({}, x=float("inf"))
 
 
 class TestUsageErrors:

@@ -48,16 +48,13 @@ class TestPrimesUpTo:
             primes_up_to(1)
 
     @pytest.mark.parametrize("segment_size", [64, 100, 128, 1000, 4096, 1 << 20])
-    def test_segmentation_is_invisible(self, segment_size):
-        big = primes_up_to(10_000, segment_size)
-        for m in (2, 17, 100, 9973, 10_000):
-            small = primes_up_to(m)
+    def test_segmentation_is_invisible(self, monkeypatch, segment_size):
+        small = {m: primes_up_to(m).elements.tolist() for m in (2, 17, 100, 9973, 10_000)}
+        monkeypatch.setattr(numset, "SEGMENT_SIZE", segment_size)
+        big = primes_up_to(10_000)
+        for m, elements in small.items():
             cut = np.searchsorted(big.elements, m, side="right")
-            assert big.elements[:cut].tolist() == small.elements.tolist()
-
-    def test_bad_segment_size(self):
-        with pytest.raises(DomainError):
-            primes_up_to(100, segment_size=0)
+            assert big.elements[:cut].tolist() == elements
 
     def test_holds_no_full_size_temporaries(self):
         # the elements and the bitset, plus one segment; the element array
