@@ -4,7 +4,8 @@ Serialization is canonical — fixed key order, fixed float handling — so
 identical runs produce byte-identical files and a parsed report re-dumps
 to the exact input bytes. Non-finite floats (exact-zero probabilities in
 log space) become JSON nulls and empty CSV cells. What each report holds
-is up to its command; this module owns only the formats.
+is up to its command; this module owns only the formats, and reads any
+report back as plot-data series.
 """
 
 from __future__ import annotations
