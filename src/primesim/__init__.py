@@ -26,7 +26,6 @@ from .errors import DomainError, SetFormatError
 from .numset import NumberSet, load_set, primes_up_to, save_set
 from .probmodel import (
     LogProb,
-    ModelParams,
     ModelRow,
     MonteCarloResult,
     coefficient_c,
@@ -36,7 +35,6 @@ from .probmodel import (
     log_f,
     model_table,
     monte_carlo_disjoint,
-    residue_filtered_params,
     tail_integral,
     upper_bound_prob,
 )

@@ -315,7 +315,6 @@ def check_range(
     hi: int,
     *,
     workers: int = 1,
-    slow_mode: bool = False,
     bucket_width: int = BUCKET_WIDTH,
     sample_stride: int = SAMPLE_STRIDE,
 ) -> CheckReport:
@@ -330,9 +329,10 @@ def check_range(
     the candidate scan, and the evens it cannot split are the failures.
     Only failures are reported, so the order in which the sweep finds
     pairs does not matter. Representation counts are sampled
-    1-in-`sample_stride` evens per bucket (slow_mode counts every even) and
-    made in one pass over all buckets, grouped by the residue of even/2
-    mod 64; each bucket's min and mean are then read off its own counts.
+    1-in-`sample_stride` evens per bucket (a stride of 1 counts every
+    even) and made in one pass over all buckets, grouped by the residue of
+    even/2 mod 64; each bucket's min and mean are then read off its own
+    counts.
     """
     _validate_range(setQ, lo, hi)
     if workers < 1:
@@ -341,10 +341,9 @@ def check_range(
         raise DomainError("bucket_width must be a positive even number")
     if sample_stride < 1:
         raise DomainError("sample_stride must be >= 1")
-    stride = 1 if slow_mode else sample_stride
     t0 = time.perf_counter()
     bounds = _bucket_bounds(lo, hi, bucket_width)
-    sampled = [np.arange(b_lo, b_hi + 1, 2 * stride, dtype=np.int64) for b_lo, b_hi in bounds]
+    sampled = [np.arange(b_lo, b_hi + 1, 2 * sample_stride, dtype=np.int64) for b_lo, b_hi in bounds]
     failures = [e for b in bounds for e in _bucket_failures(setQ, *b)]
     counts = _count_by_residue(setQ, np.concatenate(sampled))
     cuts = np.cumsum([s.size for s in sampled])[:-1]

@@ -138,9 +138,8 @@ def _run_check(args: argparse.Namespace) -> int:
         args.lo,
         args.hi,
         workers=args.workers,
-        slow_mode=args.slow_mode,
         bucket_width=args.bucket_width,
-        sample_stride=args.sample_stride,
+        sample_stride=1 if args.slow_mode else args.sample_stride,
     )
     rows = [astuple(b) for b in report.buckets]
     if args.fmt == "csv":
@@ -188,6 +187,8 @@ def _run_prob(args: argparse.Namespace) -> int:
             raise DomainError(f"--c-from-pmax {args.c_from_pmax} is above the cap of {PROB_MAX_C_PMAX}")
         damping = coefficient_c(args.c_from_pmax)
     if args.n_max is not None:
+        if args.n_max < args.n:
+            raise DomainError(f"--n-max {args.n_max} is below --n {args.n}")
         step = args.n_step or max(1, (args.n_max - args.n) // 100)
         ns = range(args.n, args.n_max + 1, step)
         if len(ns) > PROB_MAX_ROWS:
@@ -294,9 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--pmax", dest="p_max", type=int, choices=(2, 3),
                    help="residue-filter the slot domain")
-    p.add_argument("--c-from-pmax", type=int, help="damping coefficient from primes up to here")
-    p.add_argument("--c", dest="damping_c", metavar="C", type=float,
-                   help="explicit damping coefficient")
+    damping = p.add_mutually_exclusive_group()
+    damping.add_argument("--c-from-pmax", type=int, help="damping coefficient from primes up to here")
+    damping.add_argument("--c", dest="damping_c", metavar="C", type=float,
+                         help="explicit damping coefficient")
     p.add_argument("--n-max", type=int, help="evaluate a grid up to here")
     p.add_argument("--n-step", type=int)
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")

@@ -144,11 +144,6 @@ class NumberSet:
         """Vector rank via binary search on the element array."""
         return np.searchsorted(self.elements, ns, side="right")
 
-    def min(self) -> int:
-        if not len(self):
-            raise DomainError("empty set has no minimum")
-        return int(self.elements[0])
-
 
 def _set_bits(words: np.ndarray, elements: np.ndarray, bit: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Sets bit(x) of words for every element x, a block at a time; returns words, frozen."""

@@ -51,28 +51,6 @@ class LogProb:
 
 
 @dataclass(frozen=True)
-class ModelParams:
-    """Inputs to the disjointness model for a midpoint n.
-
-    k1/k2 are the distance-set sizes, domain_size the number of admissible
-    slots after residue filtering (n unfiltered, ceil(n/2) under the parity
-    filter, floor(n/3) with the mod-3 filter added).
-    """
-
-    n: int
-    k1: int
-    k2: int
-    domain_size: int
-    damping_c: float
-
-    def __post_init__(self):
-        if self.n < 1 or self.k1 < 0 or self.k2 < 0 or self.domain_size < 1:
-            raise DomainError("model parameters must be positive")
-        if self.damping_c < 1.0:
-            raise DomainError("damping coefficient must be >= 1")
-
-
-@dataclass(frozen=True)
 class MonteCarloResult:
     frequency: float
     std_error: float
@@ -152,28 +130,6 @@ def coefficient_c_fraction(p_max: int) -> Fraction:
 
 def coefficient_c(p_max: int) -> float:
     return float(coefficient_c_fraction(p_max))
-
-
-def residue_filtered_params(n: int, p_max: int) -> ModelParams:
-    """Model parameters after filtering slots by residues of small primes.
-
-    p_max=2 keeps one parity class: ceil(n/2) slots. p_max=3 additionally
-    drops one residue class mod 3: floor(n/3) slots. Larger primes enter
-    only through the damping coefficient. k1 = k2 = n/ln n rounded to
-    nearest.
-    """
-    if n < 6:
-        raise DomainError("residue filtering needs n >= 6")
-    if p_max == 2:
-        domain = (n + 1) // 2
-    elif p_max == 3:
-        domain = n // 3
-    else:
-        raise DomainError("residue filter is derived only for p_max in {2, 3}")
-    k = round(n / math.log(n))
-    return ModelParams(
-        n=n, k1=k, k2=k, domain_size=domain, damping_c=coefficient_c(p_max)
-    )
 
 
 def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
@@ -283,29 +239,30 @@ class ModelRow:
 def model_row(n: int, p_max: int | None = None, damping_c: float | None = None) -> ModelRow:
     """Evaluate the model at one midpoint n.
 
-    Residue filtering (p_max) shrinks the slot domain for the exact
-    hypergeometric; the damping coefficient defaults to coefficient_c(p_max)
-    when filtering, else 1. The tail column needs n >= 100.
+    k1 = k2 = k = n/ln n rounded to nearest. Residue filtering (p_max)
+    shrinks the slot domain of the exact hypergeometric: p_max=2 keeps one
+    parity class, ceil(n/2) slots; p_max=3 also drops one residue class
+    mod 3, floor(n/3) slots. Larger primes enter only through the damping
+    coefficient, which defaults to coefficient_c(p_max) when filtering,
+    else 1. ln_p_exact is NaN, inapplicable, when k exceeds the domain.
+    The tail column needs n >= 100.
     """
     if n < 6:
         raise DomainError("model rows need n >= 6")
-    if p_max is not None:
-        params = residue_filtered_params(n, p_max)
-        c = damping_c if damping_c is not None else params.damping_c
-    else:
-        k = round(n / math.log(n))
-        c = damping_c if damping_c is not None else 1.0
-        params = ModelParams(n=n, k1=k, k2=k, domain_size=n, damping_c=c)
-    ln_p = exact_disjoint_prob(params.domain_size, params.k1, params.k2).ln_value
-    tail = tail_integral(n, c).log10 if n >= 100 else None
+    domain = {None: n, 2: (n + 1) // 2, 3: n // 3}.get(p_max)
+    if domain is None:
+        raise DomainError("residue filter is derived only for p_max in {2, 3}")
+    c = damping_c if damping_c is not None else coefficient_c(p_max) if p_max else 1.0
+    k = round(n / math.log(n))
     return ModelRow(
         n=n,
-        k=params.k1,
-        domain_size=params.domain_size,
+        k=k,
+        domain_size=domain,
         damping_c=c,
-        ln_p_exact=ln_p,
+        # log_f before the exact sum: it rejects a damping below 1 at once
         log10_f=log_f(n, c).log10,
-        log10_tail=tail,
+        ln_p_exact=exact_disjoint_prob(domain, k, k).ln_value if k <= domain else math.nan,
+        log10_tail=tail_integral(n, c).log10 if n >= 100 else None,
     )
 
 

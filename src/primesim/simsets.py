@@ -144,8 +144,9 @@ def shift_set(base: NumberSet, t: int) -> NumberSet:
     """Translate every element by t; ranks satisfy rank_out(n) = rank_base(n - t)."""
     if len(base) == 0:
         raise DomainError("cannot shift an empty set")
-    if base.min() + t < 1:
-        raise DomainError(f"shift {t} sends {base.min()} below 1")
+    first = int(base.elements[0])
+    if first + t < 1:
+        raise DomainError(f"shift {t} sends {first} below 1")
     if base.limit + t > np.iinfo(np.int64).max:
         raise DomainError(f"shift {t} sends limit {base.limit} past 2^63 - 1")
     return NumberSet(base.elements + t, base.limit + t)

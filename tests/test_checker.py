@@ -316,7 +316,7 @@ class TestCheckRange:
             assert check_range(ns, 4, 2000, bucket_width=width).failures == reference
 
     def test_slow_mode_counts_every_even(self, primes_10k):
-        report = check_range(primes_10k, 4, 1000, slow_mode=True, bucket_width=500)
+        report = check_range(primes_10k, 4, 1000, sample_stride=1, bucket_width=500)
         members = set(primes_10k.elements.tolist())
         for bucket in report.buckets:
             evens = range(bucket.lo, bucket.hi + 1, 2)
@@ -324,18 +324,18 @@ class TestCheckRange:
             assert bucket.sampled == len(counts)
             assert bucket.min_reps == min(counts)
             assert bucket.mean_reps == pytest.approx(np.mean(counts))
-        threaded = check_range(primes_10k, 4, 1000, slow_mode=True, bucket_width=500, workers=2)
+        threaded = check_range(primes_10k, 4, 1000, sample_stride=1, bucket_width=500, workers=2)
         assert threaded.buckets == report.buckets
 
     @given(data=st.data(), ns=random_sets())
     @settings(max_examples=60, deadline=None)
     def test_slow_mode_all_residues_any_workers(self, data, ns):
-        # slow mode counts every even, so each residue in the range gets its slot
+        # a stride of 1 counts every even, so each residue in the range gets its slot
         lo = 2 * data.draw(st.integers(min_value=2, max_value=ns.limit))
         hi = 2 * data.draw(st.integers(min_value=lo // 2, max_value=ns.limit))
         width = 2 * data.draw(st.integers(min_value=1, max_value=hi // 2))
-        one = check_range(ns, lo, hi, slow_mode=True, bucket_width=width)
-        two = check_range(ns, lo, hi, slow_mode=True, bucket_width=width, workers=2)
+        one = check_range(ns, lo, hi, sample_stride=1, bucket_width=width)
+        two = check_range(ns, lo, hi, sample_stride=1, bucket_width=width, workers=2)
         assert (one.failures, one.buckets) == (two.failures, two.buckets)
         members = set(ns.elements.tolist())
         for bucket in one.buckets:

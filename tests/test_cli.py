@@ -242,6 +242,29 @@ class TestProb:
         row = json.loads(out)["rows"][0]
         assert row["damping_c"] == 3.75
 
+    def test_c_and_c_from_pmax_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["prob", "--n", "1000", "--c", "2", "--c-from-pmax", "3"])
+        assert excinfo.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
+    def test_n_max_below_n_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "prob", "--n", "1000", "--n-max", "500")
+        assert code == 2
+        assert out == ""
+        assert "--n-max 500" in err and "--n 1000" in err
+
+    def test_k_above_filtered_domain_is_an_empty_cell(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "prob", "--n", "6", "--n-max", "24", "--n-step", "2", "--pmax", "3",
+            "--format", "csv",
+        )
+        assert code == 0
+        rows = list(csv.DictReader(line for line in out.splitlines() if not line.startswith("#")))
+        assert [int(r["n"]) for r in rows] == list(range(6, 25, 2))
+        assert all(r["ln_P_exact"] == "" for r in rows if int(r["n"]) <= 20)
+        assert all(r["log10_f"] != "" for r in rows)
+
     def test_c_from_pmax_above_cap_rejected(self, tmp_path):
         env = dict(os.environ, PYTHONPATH=str(Path(primesim.__file__).parents[1]))
         proc = subprocess.run(

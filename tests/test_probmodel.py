@@ -11,7 +11,6 @@ from primesim import probmodel
 from primesim.errors import DomainError
 from primesim.probmodel import (
     LogProb,
-    ModelParams,
     _ln_ratio_sum,
     _upper_bound_ln,
     coefficient_c,
@@ -22,7 +21,6 @@ from primesim.probmodel import (
     model_row,
     model_table,
     monte_carlo_disjoint,
-    residue_filtered_params,
     tail_integral,
     upper_bound_prob,
 )
@@ -189,28 +187,38 @@ class TestCoefficient:
 
 class TestResidueFilter:
     def test_parity_domain(self):
-        assert residue_filtered_params(12, 2).domain_size == 6
+        assert model_row(12, p_max=2).domain_size == 6
+        assert model_row(13, p_max=2).domain_size == 7
 
     def test_mod3_domain(self):
-        assert residue_filtered_params(12, 3).domain_size == 4
+        assert model_row(12, p_max=3).domain_size == 4
+        assert model_row(14, p_max=3).domain_size == 4
 
     def test_k_from_n(self):
-        params = residue_filtered_params(10_000, 2)
-        assert params.k1 == params.k2 == round(10_000 / math.log(10_000)) == 1086
-        assert params.damping_c == 2.0
+        row = model_row(10_000, p_max=2)
+        assert row.k == round(10_000 / math.log(10_000)) == 1086
+        assert row.damping_c == 2.0
+        assert model_row(10_000).domain_size == 10_000
+        assert model_row(10_000).damping_c == 1.0
 
     def test_filtered_probability_never_larger(self):
         for n in (200, 1000, 5000, 20_000):
-            k = round(n / math.log(n))
-            unfiltered = exact_disjoint_prob(n, k, k).ln_value
+            unfiltered = model_row(n).ln_p_exact
             for p_max in (2, 3):
-                domain = residue_filtered_params(n, p_max).domain_size
-                filtered = exact_disjoint_prob(domain, k, k).ln_value
-                assert filtered <= unfiltered
+                assert model_row(n, p_max=p_max).ln_p_exact <= unfiltered
 
     def test_unsupported_pmax(self):
+        with pytest.raises(DomainError, match="p_max"):
+            model_row(100, p_max=5)
+
+    def test_k_above_domain_is_inapplicable(self):
+        # NaN means inapplicable; -inf is an exact zero, as at n = 18 where k == domain
+        rows = [model_row(n, p_max=3) for n in range(6, 25, 2)]
+        assert [r.n for r in rows if math.isnan(r.ln_p_exact)] == [6, 8, 10, 12, 14, 16, 20]
+        assert all(math.isnan(r.ln_p_exact) == (r.k > r.domain_size) for r in rows)
+        assert model_row(18, p_max=3).ln_p_exact == -math.inf
         with pytest.raises(DomainError):
-            residue_filtered_params(100, 5)
+            exact_disjoint_prob(2, 3, 3)
 
 
 class TestTailIntegral:
@@ -303,8 +311,9 @@ class TestModelRows:
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_params_validation(self):
-        with pytest.raises(DomainError):
-            ModelParams(n=10, k1=2, k2=2, domain_size=10, damping_c=0.5)
+        for n, p_max in ((10, None), (10_000, 3)):
+            with pytest.raises(DomainError, match="damping"):
+                model_row(n, p_max=p_max, damping_c=0.5)
 
     def test_zero_damping_rejected_not_defaulted(self):
         for p_max in (None, 3):
