@@ -87,8 +87,7 @@ def a_set(setQ: NumberSet, n: int) -> DistanceSet:
     """Distances of n to elements at or below it: {n - q : q in Q, q <= n}."""
     if not 1 <= n <= setQ.limit:
         raise DomainError(f"midpoint {n} outside universe [1, {setQ.limit}]")
-    hi = int(np.searchsorted(setQ.elements, n, side="right"))
-    members = (n - setQ.elements[:hi])[::-1].copy()
+    members = (n - setQ.elements[: setQ.rank(n)])[::-1].copy()
     return DistanceSet(n=n, side="A", members=members)
 
 
@@ -98,9 +97,7 @@ def b_set(setQ: NumberSet, n: int) -> DistanceSet:
         raise DomainError(f"universe too small for b_set midpoint {n}")
     if n < 1:
         raise DomainError("midpoint must be >= 1")
-    lo = int(np.searchsorted(setQ.elements, n, side="left"))
-    hi = int(np.searchsorted(setQ.elements, 2 * n - 1, side="right"))
-    members = setQ.elements[lo:hi] - n
+    members = setQ.elements[setQ.rank(n - 1) : setQ.rank(2 * n - 1)] - n
     return DistanceSet(n=n, side="B", members=members)
 
 

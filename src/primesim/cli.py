@@ -20,9 +20,7 @@ from .errors import DomainError
 from .numset import primes_up_to, save_set
 from .probmodel import coefficient_c, model_table, tail_integral
 from .reports import document, plot_series_from_report, table_csv
-from .simsets import SetSpec, build, deviation_series, similarity
-
-_KINDS = ("primes", "perturbed", "shifted", "file")
+from .simsets import KINDS, SetSpec, build, deviation_series, similarity
 
 # Rows in one prob table; a row near n = 1e6 takes about 1 ms.
 PROB_MAX_ROWS = 10_000
@@ -85,7 +83,7 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 def _spec_from_args(args: argparse.Namespace) -> SetSpec:
     """Resolve --set (gen-set: --kind): a kind name plus inline flags, or a spec-file path."""
     token = args.set
-    if token in _KINDS:
+    if token in KINDS:
         return SetSpec(
             kind=token,
             limit=args.limit,
@@ -97,7 +95,7 @@ def _spec_from_args(args: argparse.Namespace) -> SetSpec:
         with open(token, "r", encoding="utf-8") as fh:
             return SetSpec.from_text(fh.read())
     raise DomainError(
-        f"--set must be one of {_KINDS} or an existing spec file, got {token!r}"
+        f"--set must be one of {tuple(KINDS)} or an existing spec file, got {token!r}"
     )
 
 
@@ -239,8 +237,9 @@ _RUNNERS = {
 }
 
 
-def _add_set_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--set", required=True, help="set kind (inline flags) or spec file")
+def _add_set_args(sub: argparse.ArgumentParser, flag: str, **how) -> None:
+    # dest "set" for gen-set's --kind too, so one resolver builds every spec
+    sub.add_argument(flag, dest="set", required=True, **how)
     sub.add_argument("--limit", type=int, help="universe limit for inline specs")
     sub.add_argument("--seed", type=int, help="seed for perturbed sets")
     sub.add_argument("--shift", type=int, help="translation for shifted sets")
@@ -260,12 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the set file here (default: JSON summary to stdout)")
 
     p = subs.add_parser("gen-set", help="construct a set and write it to a file")
-    # dest "set", like --set of check and anb, so one resolver builds every spec
-    p.add_argument("--kind", dest="set", choices=_KINDS, required=True)
-    p.add_argument("--limit", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--shift", type=int)
-    p.add_argument("--path")
+    _add_set_args(p, "--kind", choices=tuple(KINDS))
     p.add_argument("--out", required=True)
     p.add_argument(
         "--deviation-report",
@@ -273,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = subs.add_parser("check", help="verify even numbers in a range")
-    _add_set_args(p)
+    _add_set_args(p, "--set", help="set kind (inline flags) or spec file")
     p.add_argument("--lo", type=int, required=True)
     p.add_argument("--hi", type=int, required=True)
     p.add_argument("--allow-below", type=int, default=42,
@@ -287,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="report destination (default stdout)")
 
     p = subs.add_parser("anb", help="materialize the distance sets at a midpoint")
-    _add_set_args(p)
+    _add_set_args(p, "--set", help="set kind (inline flags) or spec file")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out")
 

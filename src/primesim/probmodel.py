@@ -3,8 +3,8 @@
 Everything is carried in natural-log space end to end: the quantities of
 interest sit far below every floating-point denormal (10^-183 and under),
 so probabilities only ever exist here as their logarithms. Binomials go
-through exact integer arithmetic up to m = 64 and log-gamma above; the
-exact rational forms stay available for oracle tests.
+through exact integer arithmetic up to m = 64 and a blocked sum of log
+ratios above; the exact rational forms stay available for oracle tests.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ sets' own elements, the only places where the gap changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -17,6 +17,10 @@ from ._rng import mix64
 from .errors import DomainError
 from . import numset
 from .numset import NumberSet, load_set, primes_up_to
+
+
+# The SetSpec fields each kind of set needs; the builders check the smallest limits.
+KINDS = {"primes": ("limit",), "perturbed": ("limit", "seed"), "shifted": ("limit", "shift_t"), "file": ("path",)}
 
 
 @dataclass(frozen=True)
@@ -36,30 +40,19 @@ class SetSpec:
     path: str | None = None
 
     def validate(self) -> None:
-        if self.kind == "primes":
-            if self.limit is None or self.limit < 2:
-                raise DomainError("primes spec needs limit >= 2")
-        elif self.kind == "perturbed":
-            if self.limit is None or self.limit < 3:
-                raise DomainError("perturbed spec needs limit >= 3")
-            if self.seed is None:
-                raise DomainError("perturbed spec needs a seed")
-        elif self.kind == "shifted":
-            if self.limit is None or self.limit < 2:
-                raise DomainError("shifted spec needs limit >= 2")
-            if self.shift_t is None:
-                raise DomainError("shifted spec needs shift_t")
-            if self.shift_t < -1:
-                raise DomainError("shift below 1 is out of domain (2 is the smallest prime)")
-        elif self.kind == "file":
-            if not self.path:
-                raise DomainError("file spec needs a path")
-        else:
+        if self.kind not in KINDS:
             raise DomainError(f"unknown set kind {self.kind!r}")
+        for name in KINDS[self.kind]:
+            if getattr(self, name) in (None, ""):
+                raise DomainError(f"{self.kind} spec needs {name}")
+        # shift_set would reject it only after the sieve
+        if self.kind == "shifted" and self.shift_t < -1:
+            raise DomainError("shift below 1 is out of domain (2 is the smallest prime)")
 
     @classmethod
     def from_text(cls, text: str) -> "SetSpec":
-        fields: dict[str, object] = {}
+        names = {f.name for f in fields(cls)}
+        spec: dict[str, object] = {}
         for line_no, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -69,30 +62,20 @@ class SetSpec:
                 raise ValueError(f"spec line {line_no}: expected key=value, got {line!r}")
             key = key.strip()
             value = value.strip()
-            if key == "kind":
-                fields["kind"] = value
-            elif key in ("limit", "seed", "shift_t"):
-                try:
-                    fields[key] = int(value)
-                except ValueError:
-                    raise ValueError(f"spec line {line_no}: {key} must be an integer")
-            elif key == "path":
-                fields["path"] = value
-            else:
+            if key not in names:
                 raise ValueError(f"spec line {line_no}: unknown key {key!r}")
-        if "kind" not in fields:
+            try:
+                spec[key] = value if key in ("kind", "path") else int(value)
+            except ValueError:
+                raise ValueError(f"spec line {line_no}: {key} must be an integer")
+        if "kind" not in spec:
             raise ValueError("spec block has no kind=")
-        spec = cls(**fields)  # type: ignore[arg-type]
-        spec.validate()
-        return spec
+        out = cls(**spec)  # type: ignore[arg-type]
+        out.validate()
+        return out
 
     def to_dict(self) -> dict:
-        out: dict[str, object] = {"kind": self.kind}
-        for key in ("limit", "seed", "shift_t", "path"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
 
 @dataclass(frozen=True)
@@ -105,9 +88,7 @@ class SimilarityReport:
     witness_n: int
 
 
-def perturb_primes(
-    limit: int, seed: int, *, _force_sign: int | None = None
-) -> NumberSet:
+def perturb_primes(limit: int, seed: int) -> NumberSet:
     """Replace every prime p <= limit with p+1 or p-1, keyed on (seed, p).
 
     The sign is bit 0 of a counter-based hash, so generation is order- and
@@ -116,18 +97,15 @@ def perturb_primes(
     element's sign, which keeps every element within 1 of its source prime.
     The sieve's element array is moved in place, so no copy of the primes
     is held. The result lives in the universe [1, limit+1] since the top
-    prime may move up. `_force_sign` (+1 or -1) is a test hook that
-    bypasses the keyed choice.
+    prime may move up.
     """
     if limit < 3:
         raise DomainError("perturb_primes needs limit >= 3")
-    if _force_sign not in (None, 1, -1):
-        raise DomainError("_force_sign must be +1 or -1")
     # each block of primes gets its signs in place
     cand = numset._prime_elements(limit)
     for lo in range(0, cand.size, numset.BLOCK_WORDS):
         block = cand[lo : lo + numset.BLOCK_WORDS]
-        block += _force_sign or np.where(mix64(seed, block) & np.uint64(1), 1, -1)
+        block += np.where(mix64(seed, block) & np.uint64(1), 1, -1)
     # Only twins p, p + 2 collide, at p + 1, and the later one moved down:
     # flipping it adds 2 and sends it to p + 3, above every earlier
     # candidate, where it can meet the next twin in turn (3, 5, 7 is the

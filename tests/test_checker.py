@@ -77,7 +77,7 @@ class TestFindRepresentation:
         assert find_representation(primes_10k, 20) == oracle == (3, 17)
 
     def test_perturbed_example(self):
-        ns = perturb_primes(10, 0, _force_sign=1)  # {3, 4, 6, 8}
+        ns = NumberSet.from_elements([3, 4, 6, 8], 11)  # the primes to 10, each moved up
         assert find_representation(ns, 12) == (4, 8)
 
     def test_odd_rejected(self, primes_10k):

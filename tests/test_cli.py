@@ -122,6 +122,17 @@ class TestCheck:
         assert code == 0
         assert json.loads(out)["failures"] == []
 
+    @pytest.mark.parametrize("argv, builder", [
+        (["--set", "primes", "--limit", "1"], "primes_up_to"),
+        (["--set", "perturbed", "--limit", "2", "--seed", "1"], "perturb_primes"),
+        (["--set", "shifted", "--limit", "100", "--shift", "-2"], "shift below 1"),
+    ], ids=["primes", "perturbed", "shifted"])
+    def test_small_spec_is_an_input_error(self, capsys, argv, builder):
+        code, out, err = run_cli(capsys, "check", *argv, "--lo", "4", "--hi", "10")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("primesim check:") and builder in err
+
     def test_workers_byte_identical(self, capsys, tmp_path):
         paths = []
         for workers in ("1", "4"):

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from primesim import numset
+from primesim import numset, simsets
 from primesim._rng import mix64
 from primesim.errors import DomainError
 from primesim.numset import NumberSet, primes_up_to, save_set
 from primesim.simsets import (
+    KINDS,
     SetSpec,
     SimilarityReport,
     build,
@@ -79,12 +80,15 @@ def set_pairs(draw) -> tuple[NumberSet, NumberSet]:
 
 
 class TestPerturbPrimes:
-    def test_forced_plus_one(self):
-        ns = perturb_primes(10, 0, _force_sign=1)
+    def test_forced_plus_one(self, monkeypatch):
+        # hash bit 0 set: every prime moves up
+        monkeypatch.setattr(simsets, "mix64", lambda seed, xs: np.ones(xs.shape, np.uint64))
+        ns = perturb_primes(10, 0)
         assert ns.elements.tolist() == [3, 4, 6, 8]
 
-    def test_forced_minus_one(self):
-        ns = perturb_primes(10, 0, _force_sign=-1)
+    def test_forced_minus_one(self, monkeypatch):
+        monkeypatch.setattr(simsets, "mix64", lambda seed, xs: np.zeros(xs.shape, np.uint64))
+        ns = perturb_primes(10, 0)
         assert ns.elements.tolist() == [1, 2, 4, 6]
 
     def test_deterministic(self):
@@ -262,16 +266,28 @@ class TestSetSpec:
         assert ns.elements.tolist() == [3, 4, 6, 8]
 
     def test_text_roundtrip(self):
-        spec = SetSpec(kind="perturbed", limit=1000, seed=99)
-        text = "".join(f"{key}={value}\n" for key, value in spec.to_dict().items())
-        again = SetSpec.from_text(text)
-        assert again == spec
+        specs = [
+            SetSpec(kind="primes", limit=1000),
+            SetSpec(kind="perturbed", limit=1000, seed=99),
+            SetSpec(kind="shifted", limit=1000, shift_t=-1),
+            SetSpec(kind="file", path="sets/q.txt"),
+        ]
+        assert sorted(spec.kind for spec in specs) == sorted(KINDS)
+        for spec in specs:
+            text = "".join(f"{key}={value}\n" for key, value in spec.to_dict().items())
+            assert SetSpec.from_text(text) == spec
 
     def test_text_rejects_garbage(self):
         with pytest.raises(ValueError, match="line 2"):
             SetSpec.from_text("kind=primes\nlimit=ten\n")
         with pytest.raises(ValueError, match="kind"):
             SetSpec.from_text("limit=10\n")
+
+    @pytest.mark.parametrize("kind, field", [(k, f) for k, need in KINDS.items() for f in need])
+    def test_each_needed_field_is_checked(self, kind, field):
+        full = {"limit": 100, "seed": 1, "shift_t": 1, "path": "q.txt"}
+        with pytest.raises(DomainError, match=f"^{kind} spec needs {field}$"):
+            SetSpec(kind, **{**full, field: None}).validate()
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -280,5 +296,7 @@ class TestSetSpec:
             SetSpec(kind="nonsense", limit=5).validate()
         with pytest.raises(DomainError):
             SetSpec(kind="file").validate()
+        with pytest.raises(DomainError, match="^file spec needs path$"):
+            SetSpec(kind="file", path="").validate()
         with pytest.raises(DomainError):
             SetSpec(kind="shifted", limit=100, shift_t=-2).validate()
