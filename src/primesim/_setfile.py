@@ -2,13 +2,12 @@
 
 Two routes read a file. The numpy read takes the leading blank and
 comment lines and the optional limit= header line by line, parses the
-rest with np.loadtxt, and keeps the result only when it is one column of
-elements that pass the checks as vectors: >= 1, strictly ascending,
-within the header. Anything else (a comment or header further down, a
-line numpy cannot parse, a value outside int64, a bad byte, an element
-that fails a check) sends the whole file through by_line, the per-line
-rules, which define the format and raise every error with its line
-number.
+rest with np.loadtxt, and keeps the result whenever it is one column;
+the element rules (>= 1, strictly ascending, within the header) are the
+NumberSet constructor's. Anything else (a comment or header further
+down, a line numpy cannot parse, a value outside int64, a bad byte)
+sends the whole file through by_line, the per-line rules, which define
+the format and raise every error with its line number.
 
 It is a module of its own, imported by load_set on first use, because a
 module's compile-time peak grows with its size: parser code inside
@@ -40,14 +39,15 @@ def read(path: str) -> tuple[np.ndarray, int | None, int]:
 
 
 def _by_numpy(path: str) -> tuple[np.ndarray, int, int] | None:
-    """The file read by np.loadtxt, or None when it is not one column of valid elements.
+    """The file read by np.loadtxt, or None when it is not one non-empty column.
 
     The lines before the first element are read here; np.loadtxt skips
     them and parses the rest. It is given the path, so it reads the file
     in chunks (a file object it would iterate line by line, twice as
     slow). comments=None, so "5 # c" is two fields; ndmin=2, so a lone
     "3 5" line is a row of two columns, not two elements. A file with no
-    element line is left to by_line.
+    element line is left to by_line. The elements are not checked here:
+    the NumberSet constructor checks them.
     """
     limit, limit_line = None, 1
     with open(path, "r", encoding="utf-8") as fh:
@@ -61,9 +61,7 @@ def _by_numpy(path: str) -> tuple[np.ndarray, int, int] | None:
         else:
             return None
     elems = np.loadtxt(path, dtype=np.int64, comments=None, ndmin=2, skiprows=skip, encoding="utf-8")
-    if elems.shape[1] != 1 or not elems.size or elems[0, 0] < 1 or np.any(elems[1:] <= elems[:-1]):
-        return None
-    if limit is not None and int(elems[-1, 0]) > limit:
+    if elems.shape[1] != 1 or not elems.size:
         return None
     # one column, so the array is its elements: reshape it without a copy
     elems.resize(elems.shape[0], refcheck=False)

@@ -246,16 +246,6 @@ def _scan(words: np.ndarray, keys: np.ndarray, cands: np.ndarray, sign: int, out
             keys, pos = keys[~found], pos[~found]
 
 
-def _bucket_bounds(lo: int, hi: int, width: int) -> list[tuple[int, int]]:
-    bounds = []
-    b_lo = lo
-    while b_lo <= hi:
-        b_hi = min(hi, b_lo + width - 2)
-        bounds.append((b_lo, b_hi))
-        b_lo = b_hi + 2
-    return bounds
-
-
 def _sweep_open(setQ: NumberSet, lo: int, hi: int) -> np.ndarray:
     """Evens in [lo, hi] left unsplit by a word-parallel sweep over q1.
 
@@ -339,7 +329,7 @@ def check_range(
     if sample_stride < 1:
         raise DomainError("sample_stride must be >= 1")
     t0 = time.perf_counter()
-    bounds = _bucket_bounds(lo, hi, bucket_width)
+    bounds = [(b, min(hi, b + bucket_width - 2)) for b in range(lo, hi + 1, bucket_width)]
     sampled = [np.arange(b_lo, b_hi + 1, 2 * sample_stride, dtype=np.int64) for b_lo, b_hi in bounds]
     failures = [e for b in bounds for e in _bucket_failures(setQ, *b)]
     counts = _count_by_residue(setQ, np.concatenate(sampled))

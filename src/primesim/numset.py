@@ -28,7 +28,8 @@ from .errors import DomainError, SetFormatError
 if sys.byteorder != "little":
     raise ImportError("packed bitset layout assumes a little-endian platform")
 
-# integers per sieve segment: beyond its output, the sieve holds one segment
+# integers per sieve segment: beyond its output, the sieve holds one segment;
+# even, since segments start at its multiples and flag only their odd numbers
 SEGMENT_SIZE = 1 << 20
 
 _ONE = np.uint64(1)
@@ -255,14 +256,10 @@ def extract_window(words: np.ndarray, a: int, b: int) -> np.ndarray:
 
 
 def _sieve_segment(lo: int, hi: int, odd_base: list[int]) -> np.ndarray:
-    """Primality flags for integers in [lo, hi); odd_base are odd primes <= sqrt."""
-    seg = np.ones(hi - lo, dtype=bool)
+    """Primality flags of the odd numbers in [lo, hi), lo even: flag j is lo + 2j + 1."""
+    seg = np.ones((hi - lo) >> 1, dtype=bool)
     if lo == 0:
-        seg[: min(2, hi)] = False
-    # even composites (4, 6, ...); 2 itself survives
-    first_even = max(4, lo + (lo & 1))
-    if first_even < hi:
-        seg[first_even - lo :: 2] = False
+        seg[0] = False  # 1
     for p in odd_base:
         p2 = p * p
         if p2 >= hi:
@@ -270,8 +267,7 @@ def _sieve_segment(lo: int, hi: int, odd_base: list[int]) -> np.ndarray:
         start = max(p2, ((lo + p - 1) // p) * p)
         if start % 2 == 0:
             start += p
-        if start < hi:
-            seg[start - lo :: 2 * p] = False
+        seg[(start - lo) >> 1 :: p] = False
     return seg
 
 
@@ -280,10 +276,10 @@ def _prime_elements(limit: int) -> np.ndarray:
 
     The array is allocated first, at the Rosser-Schoenfeld bound
     pi(x) < 1.25506 x / ln x, so a limit too large to hold fails before
-    any sieving. Each segment's primes are written into it, and it is
-    then shrunk in place, so its unused tail is never touched. The odd
-    primes up to sqrt(limit) that sieve the segments come from the same
-    function.
+    any sieving. 2 is written first, then each segment's odd primes (flag
+    j of the segment at lo is lo + 2j + 1), and the array is then shrunk
+    in place, so its unused tail is never touched. The odd primes up to
+    sqrt(limit) that sieve the segments come from the same function.
     """
     if limit < 2:
         raise DomainError("primes_up_to needs limit >= 2")
@@ -294,10 +290,11 @@ def _prime_elements(limit: int) -> np.ndarray:
         raise DomainError(f"cannot allocate the {bound * 8}-byte element array for limit {limit}") from None
     root = math.isqrt(limit)
     odd_base = _prime_elements(root)[1:].tolist() if root >= 2 else []
-    n = 0
+    out[0], n = 2, 1
     for lo in range(0, limit + 1, SEGMENT_SIZE):
         seg = np.flatnonzero(_sieve_segment(lo, min(lo + SEGMENT_SIZE, limit + 1), odd_base))
-        np.add(seg, lo, out=out[n : n + seg.size])
+        dst = np.multiply(seg, 2, out=out[n : n + seg.size])
+        dst += lo + 1
         n += seg.size
     out.resize(n, refcheck=False)
     return out
@@ -324,11 +321,11 @@ def save_set(ns: NumberSet, path: str, header_comments: Iterable[str] = ()) -> N
 def load_set(path: str) -> NumberSet:
     """Read the shared ASCII set format; errors carry the offending line number.
 
-    _setfile.read parses the file into one int64 array with numpy when it
-    can, and by the per-line rules otherwise, checking each element (>= 1,
-    above the previous one, within the limit header); the NumberSet then
-    keeps that array without a copy. The reader is imported on first use,
-    so a process that reads no set file never compiles it.
+    _setfile.read parses the file into one int64 array, with numpy when
+    it can; the NumberSet checks its elements and keeps it uncopied.
+    _setfile.by_line only parses what numpy cannot, or locates an error.
+    The reader is imported on first use, so a process that reads no set
+    file never compiles it.
     """
     from . import _setfile
 
@@ -337,6 +334,7 @@ def load_set(path: str) -> NumberSet:
         return NumberSet(elems, limit)
     except DomainError as exc:
         if not str(exc).startswith("cannot allocate"):
+            _setfile.by_line(path)  # raises the broken rule with its line
             raise
         # the bitset is sized by the limit header, or else by the last
         # element, whose line only the per-line rules count

@@ -19,7 +19,7 @@ from . import numset
 from .numset import NumberSet, load_set, primes_up_to
 
 
-# The SetSpec fields each kind of set needs; the builders check the smallest limits.
+# The SetSpec fields each kind needs and the only ones it takes; builders check the least limits.
 KINDS = {"primes": ("limit",), "perturbed": ("limit", "seed"), "shifted": ("limit", "shift_t"), "file": ("path",)}
 
 
@@ -45,6 +45,9 @@ class SetSpec:
         for name in KINDS[self.kind]:
             if getattr(self, name) in (None, ""):
                 raise DomainError(f"{self.kind} spec needs {name}")
+        for f in fields(self)[1:]:  # every field but kind
+            if f.name not in KINDS[self.kind] and getattr(self, f.name) is not None:
+                raise DomainError(f"{self.kind} spec takes no {f.name}")
         # shift_set would reject it only after the sieve
         if self.kind == "shifted" and self.shift_t < -1:
             raise DomainError("shift below 1 is out of domain (2 is the smallest prime)")

@@ -47,7 +47,7 @@ class TestPrimesUpTo:
         with pytest.raises(DomainError):
             primes_up_to(1)
 
-    @pytest.mark.parametrize("segment_size", [64, 100, 128, 1000, 4096, 1 << 20])
+    @pytest.mark.parametrize("segment_size", [2, 6, 64, 100, 128, 1000, 4096, 1 << 20])
     def test_segmentation_is_invisible(self, monkeypatch, segment_size):
         small = {m: primes_up_to(m).elements.tolist() for m in (2, 17, 100, 9973, 10_000)}
         monkeypatch.setattr(numset, "SEGMENT_SIZE", segment_size)
@@ -55,6 +55,16 @@ class TestPrimesUpTo:
         for m, elements in small.items():
             cut = np.searchsorted(big.elements, m, side="right")
             assert big.elements[:cut].tolist() == elements
+
+    # each limit ends its last segment at a different odd flag; size 2 stops
+    # at 1000, since every limit to 3000 takes about 40 s there, and its one
+    # flag is a segment's first and last at any limit
+    @pytest.mark.parametrize("segment_size, top", [(2, 1000), (64, 3000)])
+    def test_every_limit_against_trial_division(self, monkeypatch, oracle_primes_10k, segment_size, top):
+        monkeypatch.setattr(numset, "SEGMENT_SIZE", segment_size)
+        for limit in range(2, top + 1):
+            cut = np.searchsorted(oracle_primes_10k, limit, side="right")
+            assert primes_up_to(limit).elements.tolist() == oracle_primes_10k[:cut], limit
 
     def test_holds_no_full_size_temporaries(self):
         # the elements and the bitset, plus one segment; the element array

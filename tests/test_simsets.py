@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from primesim import numset, simsets
 from primesim._rng import mix64
+from primesim.cli import main
 from primesim.errors import DomainError
 from primesim.numset import NumberSet, primes_up_to, save_set
 from primesim.simsets import (
@@ -21,6 +22,9 @@ from primesim.simsets import (
 )
 
 from conftest import trial_division_primes
+
+# each SetSpec field's inline CLI flag
+_FLAGS = {"limit": "--limit", "seed": "--seed", "shift_t": "--shift", "path": "--path"}
 
 
 def sequential_perturb(limit: int, seed: int) -> list[int]:
@@ -288,6 +292,15 @@ class TestSetSpec:
         full = {"limit": 100, "seed": 1, "shift_t": 1, "path": "q.txt"}
         with pytest.raises(DomainError, match=f"^{kind} spec needs {field}$"):
             SetSpec(kind, **{**full, field: None}).validate()
+
+    @pytest.mark.parametrize("kind, field", [(k, f) for k, need in KINDS.items() for f in _FLAGS if f not in need])
+    def test_each_unused_field_is_refused(self, capsys, kind, field):
+        full = {"limit": 100, "seed": 1, "shift_t": 1, "path": "q.txt"}
+        with pytest.raises(DomainError, match=f"^{kind} spec takes no {field}$"):
+            SetSpec(kind, **{f: full[f] for f in (*KINDS[kind], field)}).validate()
+        argv = [arg for f in (*KINDS[kind], field) for arg in (_FLAGS[f], str(full[f]))]
+        assert main(["anb", "--set", kind, *argv, "--n", "5"]) == 2
+        assert capsys.readouterr().err.strip().endswith(f"{kind} spec takes no {field}")
 
     def test_validation(self):
         with pytest.raises(DomainError):
