@@ -15,29 +15,43 @@ tries q1 upward, or q2 downward above limit + 1, a chunk of candidates at
 a time on every open even; evens it cannot split are failures.
 
 Representation counts r(2n) = |A_n ∩ B_n| (the paper's identity) sum each
-class's pairs of indices i1 <= i2 with i1 + i2 = n - c, counted by one
-AND + popcount of the class's words against a bit-reversed window, an
-aligned slice of its reversal pre-shifted for the sum mod 64, over the
-indices between the class's first and last members. check_range counts
-its sampled evens one residue of n mod 64 at a time, so each shifted copy
-is built once.
+class's pairs of indices i1 <= i2 with i1 + i2 = n - c. pair_count gets
+one such count by one AND + popcount of the class's words against a
+bit-reversed window, an aligned slice of its reversal pre-shifted for the
+sum mod 64, over the indices between the class's first and last members.
+progression_counts gets the counts of every even of an arithmetic
+progression at once: they are a decimated autoconvolution of the class,
+which the polyphase split of multirate filtering (Vaidyanathan 1990) turns
+into one short FFT per column of the class laid out in rows of step / 2
+bits. check_range counts its sampled evens that way and recounts a few
+with pair_count, its oracle.
 Distance sets A_n/B_n and their disjointness are materialized only for
 diagnostics and small-scale equivalence tests.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError
-from .numset import NumberSet, ParityClass, extract_window, bits_at
+from .numset import BLOCK_WORDS, NumberSet, ParityClass, bits_at, extract_window
 
 BUCKET_WIDTH = 1_000_000
 SAMPLE_STRIDE = 1_000
 _SCAN_TESTS = 256  # candidate tests per scan step, shared by the open evens
+# bytes that progression_counts may hold at once; a larger count is refused
+COUNT_BUDGET = 1 << 30
+# bytes of column bits, float copies and spectra per block of FFT columns
+_BLOCK_BYTES = 1 << 19
+# sampled evens that check_range recounts with pair_count
+SPOT_CHECKS = 16
 
 _U64 = np.uint64
 
@@ -280,20 +294,176 @@ def _bucket_failures(setQ: NumberSet, b_lo: int, b_hi: int) -> list[int]:
     return E[_minimal_q1(setQ, E) == 0].tolist()
 
 
-def _count_by_residue(setQ: NumberSet, evens: np.ndarray) -> np.ndarray:
-    """pair_count of every even, one residue of n = even/2 mod 64 at a time.
+def progression_counts(setQ: NumberSet, e0: int, step: int, n: int) -> np.ndarray:
+    """pair_count of every even e0 + step * k, k < n, in one pass of FFTs.
 
-    pair_count reads each parity class c through its one-slot reversal,
-    keyed by the class's index sum n - c mod 64, so n mod 64 fixes both
-    keys, and counting the evens grouped by it builds each slot once. The
-    pass runs in the calling thread: on a 2-vCPU host two threads sharing
-    it counted slower than one (sampled primes to 2e7, 1.48 s against
-    0.99 s).
+    Per parity class c, with h = step / 2, class index i = h * a + j is row
+    a of column j, and the evens' index sums s = e0 / 2 - c + h * k share
+    s mod h = t. Column j pairs with (t - j) mod h, their row sums a1 + a2
+    at floor(s / h) when j <= t and floor(s / h) - 1 (a carry) when j > t,
+    so one convolution of the two columns serves every even. Each
+    unordered pair of nonzero columns adds rfft * rfft, twice off the
+    diagonal, to the spectrum of its carry, and each spectrum takes one
+    irfft: the ordered pair counts. r(e) is (ordered + [e/2 in the set]) / 2.
+    Only the set's bitset is read. Transforms have 5-smooth lengths that
+    no row sum outside the class wraps onto, and columns go through in
+    blocks of about _BLOCK_BYTES. Nothing is allocated before the buffers,
+    estimated from step, limit and range, are found to fit COUNT_BUDGET.
     """
-    counts = np.empty(evens.size, dtype=np.int64)
-    order = np.argsort((evens >> 1) & 63, kind="stable")
-    counts[order] = [pair_count(setQ, e) for e in evens[order].tolist()]
+    _validate_even(setQ, e0)
+    if step < 2 or step % 2:
+        raise DomainError("step must be a positive even number")
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    _validate_even(setQ, e0 + step * (n - 1))
+    need = _count_bytes(setQ, e0, step, n)
+    if need > COUNT_BUDGET:
+        raise DomainError(
+            f"counting {n} evens at step {step} needs about {need >> 20} MiB, "
+            f"over the {COUNT_BUDGET >> 20} MiB budget"
+        )
+    fft = np.fft
+    ordered = np.zeros(n)
+    for c in (0, 1):
+        layout = _layout(setQ.parity_class(c), e0 - 2 * c, step, n)
+        if layout is None:
+            continue
+        a_lo, rows, t, base, size, width, span = layout
+        words, h = setQ.parity_class(c).words, step >> 1
+        # j from lo to hi pairs with total - j: carry 0 up to t, carry 1 above
+        for carry, (lo, hi, total) in enumerate(((0, t >> 1, t), (t + 1, (t + h) >> 1, t + h))):
+            acc = None
+            for j in range(lo, hi + 1, span):
+                b = min(span, hi + 1 - j)
+                left = _columns(words, h, a_lo, rows, j, b)
+                right = _columns(words, h, a_lo, rows, total - j - b + 1, b)[::-1]
+                cols = np.flatnonzero(left.any(axis=1) & right.any(axis=1))
+                for q in range(0, cols.size, width):
+                    part = cols[q : q + width]
+                    spec = fft.rfft(left[part], size)
+                    # a column paired with itself is transformed once
+                    alone = part.size == 1 and 2 * (j + int(part[0])) == total
+                    spec *= spec if alone else fft.rfft(right[part], size)
+                    spec = np.where(2 * (j + part) == total, 1.0, 2.0) @ spec
+                    if acc is None:
+                        acc = spec
+                    else:
+                        acc += spec
+            if acc is not None:
+                conv = fft.irfft(acc, size)
+                start = base - carry
+                k0, k1 = max(0, -start), min(n, 2 * rows - 1 - start)
+                ordered[k0:k1] += conv[start + k0 : start + k1]
+    counts = np.empty(n, dtype=np.int64)
+    np.rint(ordered, out=counts, casting="unsafe")
+    ordered -= counts
+    residual = max(float(ordered.max()), -float(ordered.min()))
+    if residual >= 0.25:
+        raise ArithmeticError(f"FFT counts are {residual} off an integer")
+    # the evens whose half is at most the limit, a block at a time
+    for k in range(0, min(n, (setQ.limit - (e0 >> 1)) // (step >> 1) + 1), BLOCK_WORDS):
+        half = (e0 >> 1) + (step >> 1) * np.arange(k, min(k + BLOCK_WORDS, n))
+        half = half[half <= setQ.limit]
+        counts[k : k + half.size] += bits_at(setQ._words, (half & 1) * (setQ._words.size << 5) + (half >> 1))
+    counts >>= 1
     return counts
+
+
+def _layout(parity: ParityClass, e0: int, step: int, n: int) -> tuple[int, ...] | None:
+    """How class indices pair up for sums e0 / 2 + (step / 2) * k, k < n (None: no pairs).
+
+    (a_lo, rows, t, base, size, width): rows from a_lo hold the members
+    up to the largest sum, t is the sums' residue mod step / 2, row sum
+    a_lo * 2 + base is the first even's at carry 0, size the transform
+    length, and width the columns per block.
+    """
+    h = step >> 1
+    s0 = e0 >> 1
+    last = min(parity.last, s0 + h * (n - 1))
+    if parity.first > last:
+        return None
+    a_lo = parity.first // h
+    rows = last // h - a_lo + 1
+    a0, t = divmod(s0, h)
+    base = a0 - 2 * a_lo
+    # the wanted row sums [lo, hi] of the 2 * rows - 1 a convolution has
+    lo, hi = max(base - 1, 0), min(base + n - 1, 2 * rows - 2)
+    if lo > hi:
+        return None
+    size = _smooth(max(hi + 1, 2 * rows - 1 - lo))
+    # a transformed column: both sides' bits, float copies and spectra, and its weight
+    width = max(1, _BLOCK_BYTES // (_fft_column(rows, size)))
+    # a read column: both sides' bits, the unpacking of one, its flags and index
+    span = max(width, _BLOCK_BYTES // _read_column(rows))
+    return a_lo, rows, t, base, size, width, span
+
+
+def _fft_column(rows: int, size: int) -> int:
+    return 18 * rows + 16 * size + 40
+
+
+def _read_column(rows: int) -> int:
+    return 3 * rows + 12
+
+
+def _count_bytes(setQ: NumberSet, e0: int, step: int, n: int) -> int:
+    """Upper estimate of the bytes progression_counts holds at once."""
+    need = 0
+    for c in (0, 1):
+        layout = _layout(setQ.parity_class(c), e0 - 2 * c, step, n)
+        if layout is not None:
+            rows, size, width, span = layout[1], layout[4], layout[5], layout[6]
+            # the summed spectrum, one more and the FFT's scratch, the blocks
+            # of columns, and the unpacking's bytes past a column's bits
+            need = max(need, 24 * size + width * _fft_column(rows, size) + span * _read_column(rows) + 14 * rows)
+    # the float and the integer counts, and 64 KiB for small arrays
+    return need + 16 * n + (1 << 16)
+
+
+def _smooth(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n."""
+    best = 1 << max(n - 1, 0).bit_length()
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            f = f35
+            while f < n:
+                f *= 2
+            best = min(best, f)
+            f35 *= 3
+        f5 *= 5
+    return best
+
+
+def _columns(words: np.ndarray, h: int, a_lo: int, rows: int, j: int, b: int) -> np.ndarray:
+    """Columns j .. j + b - 1 of the class's rows a_lo .. a_lo + rows - 1, as a (b, rows) uint8 array.
+
+    Bit h * (a_lo + a) + j + i of `words` goes to [i, a]; bits past the
+    class read 0. Rows a, a + p, ... with p = 8 / gcd(h, 8) start at one
+    bit offset, evenly many bytes apart, so each such group is one
+    strided view of the class's bytes, unpacked; rows whose bytes would
+    run past the class's end are read bit by bit.
+    """
+    data = words.view(np.uint8)
+    out = np.zeros((b, rows), dtype=np.uint8)
+    nb = (b + 14) >> 3  # bytes that hold b bits from any bit offset
+    p = 8 // math.gcd(h, 8)
+    windows = sliding_window_view(data, nb) if data.size >= nb else data[:0, None]
+    missed = []
+    for r in range(min(p, rows)):
+        bit0 = h * (a_lo + r) + j
+        group = windows[bit0 >> 3 :: h * p >> 3][: (rows - r + p - 1) // p]
+        if group.size:
+            bits = np.unpackbits(group, axis=1, bitorder="little")
+            out[:, r : r + p * len(group) : p] = bits[:, (bit0 & 7) : (bit0 & 7) + b].T
+        missed.append(np.arange(r + p * len(group), rows, p))
+    missed = np.concatenate(missed)
+    if missed.size:
+        pos = (h * (a_lo + missed))[:, None] + np.arange(j, j + b)
+        inside = pos < data.size << 3
+        out[:, missed] = (bits_at(words, np.where(inside, pos, 0)) & inside).T
+    return out
 
 
 def check_range(
@@ -317,9 +487,13 @@ def check_range(
     Only failures are reported, so the order in which the sweep finds
     pairs does not matter. Representation counts are sampled
     1-in-`sample_stride` evens per bucket (a stride of 1 counts every
-    even) and made in one pass over all buckets, grouped by the residue of
-    even/2 mod 64; each bucket's min and mean are then read off its own
-    counts.
+    even). Every sampled even lies in lo + step * Z, step =
+    gcd(2 * sample_stride, bucket_width), so one progression_counts pass
+    counts the whole progression, and each bucket's min and mean are read
+    off its own sampled evens' counts. A step whose count would not fit
+    COUNT_BUDGET is refused before the sweep. SPOT_CHECKS of the sampled
+    evens, the largest among them, are then recounted by pair_count, and a
+    mismatch raises.
     """
     _validate_range(setQ, lo, hi)
     if workers < 1:
@@ -329,21 +503,23 @@ def check_range(
     if sample_stride < 1:
         raise DomainError("sample_stride must be >= 1")
     t0 = time.perf_counter()
+    # every sampled even is lo + a multiple of step
+    step = math.gcd(2 * sample_stride, bucket_width)
+    n = (hi - lo) // step + 1
+    need = _count_bytes(setQ, lo, step, n)
+    if need > COUNT_BUDGET:
+        raise DomainError(_budget_advice(need, step, bucket_width, sample_stride))
     bounds = [(b, min(hi, b + bucket_width - 2)) for b in range(lo, hi + 1, bucket_width)]
-    sampled = [np.arange(b_lo, b_hi + 1, 2 * sample_stride, dtype=np.int64) for b_lo, b_hi in bounds]
     failures = [e for b in bounds for e in _bucket_failures(setQ, *b)]
-    counts = _count_by_residue(setQ, np.concatenate(sampled))
-    cuts = np.cumsum([s.size for s in sampled])[:-1]
-    buckets = [
-        BucketStats(
-            lo=b_lo,
-            hi=b_hi,
-            sampled=int(c.size),
-            min_reps=int(c.min()),
-            mean_reps=float(c.mean()),
-        )
-        for (b_lo, b_hi), c in zip(bounds, np.split(counts, cuts))
-    ]
+    counts = progression_counts(setQ, lo, step, n)
+    # each bucket's sampled evens, as positions in counts
+    stride = 2 * sample_stride // step
+    sampled = [range((b_lo - lo) // step, (b_hi - lo) // step + 1, stride) for b_lo, b_hi in bounds]
+    _spot_check(setQ, lo, step, counts, sampled)
+    buckets = []
+    for (b_lo, b_hi), at in zip(bounds, sampled):
+        c = counts[at.start : at.stop : at.step]
+        buckets.append(BucketStats(lo=b_lo, hi=b_hi, sampled=c.size, min_reps=int(c.min()), mean_reps=float(c.mean())))
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return CheckReport(
         lo=lo,
@@ -353,3 +529,35 @@ def check_range(
         buckets=buckets,
         wall_ms=wall_ms,
     )
+
+
+def _budget_advice(need: int, step: int, bucket_width: int, sample_stride: int) -> str:
+    """The refusal of a count over COUNT_BUDGET, with a layout that counts at a larger step."""
+    message = (
+        f"counting at step {step} = gcd(2 * sample_stride, bucket_width) needs about "
+        f"{need >> 20} MiB, over the {COUNT_BUDGET >> 20} MiB budget"
+    )
+    pair = 2 * sample_stride
+    if step < pair:
+        width = pair * max(1, round(bucket_width / pair))
+        return f"{message}; a bucket_width that is a multiple of 2 * sample_stride, such as {width}, counts at step {pair}"
+    return f"{message}; a larger sample_stride counts at a larger step"
+
+
+def _spot_check(setQ: NumberSet, lo: int, step: int, counts: np.ndarray, sampled: list[range]) -> None:
+    """Recount SPOT_CHECKS sampled evens, the first and the largest among them, with pair_count.
+
+    They are spread evenly over the sampled evens, the buckets' `sampled`
+    positions in counts taken in order, and counted in order of even/2
+    mod 64, so pair_count builds each reversal slot once.
+    """
+    ends = list(itertools.accumulate(map(len, sampled)))
+    picks = set()
+    for i in range(SPOT_CHECKS):
+        k = i * (ends[-1] - 1) // (SPOT_CHECKS - 1)
+        b = bisect.bisect_right(ends, k)
+        picks.add(sampled[b][k - (ends[b - 1] if b else 0)])
+    for at in sorted(picks, key=lambda at: (((lo >> 1) + (step >> 1) * at) & 63, at)):
+        even, fast = lo + step * at, int(counts[at])
+        if pair_count(setQ, even) != fast:
+            raise ArithmeticError(f"the FFT count of {even} is {fast}, pair_count gives {pair_count(setQ, even)}")

@@ -1,5 +1,6 @@
 import json
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from primesim import checker
 from primesim.checker import (
+    COUNT_BUDGET,
+    SPOT_CHECKS,
     a_set,
     b_set,
     check_range,
@@ -15,9 +19,10 @@ from primesim.checker import (
     find_representation,
     minimal_representations,
     pair_count,
+    progression_counts,
 )
 from primesim.errors import DomainError
-from primesim.numset import NumberSet, ParityClass, primes_up_to
+from primesim.numset import NumberSet, primes_up_to
 from primesim.simsets import perturb_primes
 
 from conftest import sparse_random_set
@@ -345,23 +350,49 @@ class TestCheckRange:
             assert bucket.mean_reps == float(np.mean(np.array(counts, dtype=np.int64)))
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_each_slot_built_once(self, monkeypatch, primes_100k, workers):
-        # the counting pass groups the evens by even/2 mod 64, so the odd
-        # class builds one slot per residue; the even class {2} counts
-        # 4 = 2 + 2, a sampled even here, without a slot
-        keys = {0: [], 1: []}
-        build = ParityClass.reversal_slot
+    def test_pair_count_only_for_spot_checks(self, monkeypatch, primes_100k, workers):
+        # sample_stride 7 with bucket_width 10_000 counts at step 2 in one
+        # FFT pass; pair_count recounts SPOT_CHECKS fixed sampled evens,
+        # the largest among them, in order of even/2 mod 64
+        calls = []
 
-        def spy(cls, s):
-            if cls._shifted is None or cls._shifted[0] != ~s & 63:
-                keys[1 if cls is ns.parity_class(1) else 0].append(~s & 63)
-            return build(cls, s)
+        def spy(setQ, even):
+            calls.append(even)
+            return pair_count(setQ, even)
 
-        monkeypatch.setattr(ParityClass, "reversal_slot", spy)
-        ns = NumberSet.from_elements(primes_100k.elements, primes_100k.limit)
-        check_range(ns, 4, 100_000, workers=workers, bucket_width=10_000, sample_stride=7)
-        assert sorted(keys[1]) == list(range(64))
-        assert keys[0] == []
+        monkeypatch.setattr(checker, "pair_count", spy)
+        check_range(primes_100k, 4, 100_000, workers=workers, bucket_width=10_000, sample_stride=7)
+        sampled = {e for lo in range(4, 100_001, 10_000) for e in range(lo, min(lo + 9_999, 100_001), 14)}
+        assert len(calls) == SPOT_CHECKS and set(calls) <= sampled
+        assert max(sampled) in calls and 4 in calls
+        residues = [(e >> 1) & 63 for e in calls]
+        assert residues == sorted(residues)
+
+    def test_spot_check_mismatch_raises(self, monkeypatch, primes_10k):
+        fast = checker.progression_counts
+        monkeypatch.setattr(checker, "progression_counts", lambda *args: fast(*args) + 1)
+        with pytest.raises(ArithmeticError, match="pair_count gives"):
+            check_range(primes_10k, 4, 10_000)
+
+    def test_over_budget_fails_fast(self):
+        # at step 2 the dense span of this set needs far more than
+        # COUNT_BUDGET: refused before the sweep, with nothing large held
+        limit = 200_000_000
+        ns = NumberSet.from_elements([1, 3, limit - 1], limit)
+        t0 = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=r"step 2 .* 1024 MiB budget.* such as 1000600, counts at step 10006"):
+                check_range(ns, 4, limit, sample_stride=5003)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - t0 < 1.0
+        assert peak < 2**20, peak
+        with pytest.raises(DomainError, match="larger sample_stride"):
+            check_range(ns, 4, limit, sample_stride=1)
+        with pytest.raises(DomainError, match="budget"):
+            progression_counts(ns, 4, 2, limit // 2)
 
     def test_bucket_stats_sampling(self, primes_10k):
         report = check_range(primes_10k, 4, 10_000, sample_stride=100)
@@ -386,6 +417,75 @@ class TestCheckRange:
         report = check_range(ns, 4, 50_000)
         for even in range(max(report.threshold_n0 + 2, 4), 50_001, 4998):
             assert find_representation(ns, even) is not None
+
+
+class TestProgressionCounts:
+    @given(
+        ns=random_sets(),
+        pick=st.integers(min_value=0, max_value=6),
+        start=st.floats(min_value=0, max_value=1),
+        length=st.floats(min_value=0, max_value=1),
+    )
+    @settings(max_examples=150, deadline=None)
+    # a one-member class on either side, an empty class, the whole range
+    @example(ns=NumberSet.from_elements([2, 127]), pick=0, start=0, length=1)
+    @example(ns=NumberSet.from_elements(sorted([5, *range(2, 251, 2)]), 333), pick=1, start=0, length=1)
+    @example(ns=NumberSet.from_elements(range(1, 256, 2), 700), pick=3, start=0, length=1)
+    @example(ns=primes_up_to(641), pick=4, start=0.5, length=1)
+    def test_matches_pair_count_and_brute_force(self, ns, pick, start, length):
+        # any even start and ranges up to 2 * limit, past limit + 1, at
+        # the steps check_range uses and steps past the limit
+        step = [2, 4, 6, 14, 2000, 2 * ns.limit + 2, 2 * ns.limit + 64][pick]
+        e0 = 2 + 2 * int(start * (ns.limit - 1))
+        n = 1 + int(length * ((2 * ns.limit - e0) // step))
+        counts = progression_counts(ns, e0, step, n).tolist()
+        evens = range(e0, e0 + step * n, step)
+        members = set(ns.elements.tolist())
+        assert counts == [pair_count(ns, e) for e in evens]
+        assert counts == [brute_force_count(members, e) for e in evens]
+
+    @pytest.mark.parametrize("limit", [1_000, 1_037, 4_159, 10_000])
+    @pytest.mark.parametrize("step", [2, 4, 6, 14, 2000])
+    def test_primes_every_step(self, limit, step):
+        # limits that are not multiples of 64 or 128
+        ns = primes_up_to(limit)
+        for e0 in (2, 4, 6, 2 * limit - step):
+            if e0 >= 2:
+                n = (2 * limit - e0) // step + 1
+                expected = [pair_count(ns, e) for e in range(e0, e0 + step * n, step)]
+                assert progression_counts(ns, e0, step, n).tolist() == expected
+
+    def test_reads_only_the_bitset(self, primes_10k):
+        expected = progression_counts(primes_10k, 4, 14, 1000)
+        ns = NumberSet.from_elements(primes_10k.elements, primes_10k.limit)
+        ns.elements = None
+        assert np.array_equal(progression_counts(ns, 4, 14, 1000), expected)
+
+    def test_precision_guard(self, monkeypatch, primes_10k):
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *args: irfft(*args) + 0.25)
+        with pytest.raises(ArithmeticError, match="off an integer"):
+            progression_counts(primes_10k, 4, 2000, 10)
+
+    def test_validation(self, primes_10k):
+        for e0, step, n in ((3, 2, 1), (4, 3, 1), (4, 0, 1), (4, 2, 0), (4, 2, 10_000)):
+            with pytest.raises(DomainError):
+                progression_counts(primes_10k, e0, step, n)
+
+    def test_count_heap_at_2e7(self):
+        # the check-primes-2e7 layout: step 2000 over [4, 2e7]; blocks of
+        # columns keep the heap near one megabyte, within the estimate
+        ns = primes_up_to(20_000_000)
+        n = (20_000_000 - 4) // 2000 + 1
+        tracemalloc.start()
+        try:
+            counts = progression_counts(ns, 4, 2000, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= min(checker._count_bytes(ns, 4, 2000, n), 2 * 2**20), peak
+        assert counts[-1] == pair_count(ns, 4 + 2000 * (n - 1))
+        assert COUNT_BUDGET == 2**30
 
 
 class TestMinimalRepresentations:

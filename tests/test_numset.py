@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import tempfile
 import tracemalloc
 from array import array
@@ -616,6 +617,40 @@ class TestBlockParsedLoad:
 
         monkeypatch.setattr(_setfile, "by_line", refuse)
         assert load_set(str(path)) == ns
+
+    def test_comment_lines_mid_file_skip_the_per_line_rules(self, tmp_path, monkeypatch):
+        # numpy stops at each comment line and resumes after it
+        ns = simsets.perturb_primes(100_000, 2)
+        path = tmp_path / "set.txt"
+        save_set(ns, str(path), header_comments=["c"])
+        lines = path.read_text().split("\n")
+        for at, odd in ((9000, "# halfway"), (6000, ""), (5000, "#"), (3001, "  # two"), (3000, "# in a row")):
+            lines.insert(at, odd)
+        path.write_text("\n".join(lines) + "# a last comment\n")
+
+        def refuse(path):
+            raise AssertionError("the per-line rules ran")
+
+        monkeypatch.setattr(_setfile, "by_line", refuse)
+        assert load_set(str(path)) == ns
+
+    @pytest.mark.parametrize("bad, message", [
+        ("3x", "not an integer: '3x'"),
+        ("limit=5", "not an integer: 'limit=5'"),
+        ("1", "elements must be strictly ascending"),
+    ])
+    def test_bad_line_after_a_comment_line_names_its_line(self, tmp_path, bad, message):
+        ns = simsets.perturb_primes(100_000, 2)
+        path = tmp_path / "set.txt"
+        save_set(ns, str(path), header_comments=["c"])
+        lines = path.read_text().split("\n")  # comment, header, elements, ""
+        lines.insert(4000, "# odd")
+        lines.insert(7000, "")
+        lines.insert(8000, bad)  # line 8001
+        path.write_text("\n".join(lines))
+        with pytest.raises(SetFormatError, match=f"set.txt:8001: {re.escape(message)}"):
+            load_set(str(path))
+        assert _outcome(load_set, str(path)) == _outcome(reference_load_set, str(path))
 
     def test_loaded_elements_are_not_copied(self, tmp_path):
         ns = NumberSet.from_elements([2, 3, 5, 7], limit=10)
