@@ -21,6 +21,7 @@ from .checker import (
     find_representation,
     minimal_representations,
     pair_count,
+    progression_counts,
 )
 from .errors import DomainError, SetFormatError
 from .numset import NumberSet, load_set, primes_up_to, save_set

@@ -328,7 +328,7 @@ def progression_counts(setQ: NumberSet, e0: int, step: int, n: int) -> np.ndarra
         layout = _layout(setQ.parity_class(c), e0 - 2 * c, step, n)
         if layout is None:
             continue
-        a_lo, rows, t, base, size, width, span = layout
+        a_lo, rows, t, base, size, width, span = layout[:-1]
         words, h = setQ.parity_class(c).words, step >> 1
         # j from lo to hi pairs with total - j: carry 0 up to t, carry 1 above
         for carry, (lo, hi, total) in enumerate(((0, t >> 1, t), (t + 1, (t + h) >> 1, t + h))):
@@ -372,10 +372,11 @@ def progression_counts(setQ: NumberSet, e0: int, step: int, n: int) -> np.ndarra
 def _layout(parity: ParityClass, e0: int, step: int, n: int) -> tuple[int, ...] | None:
     """How class indices pair up for sums e0 / 2 + (step / 2) * k, k < n (None: no pairs).
 
-    (a_lo, rows, t, base, size, width): rows from a_lo hold the members
-    up to the largest sum, t is the sums' residue mod step / 2, row sum
-    a_lo * 2 + base is the first even's at carry 0, size the transform
-    length, and width the columns per block.
+    (a_lo, rows, t, base, size, width, span, need): rows from a_lo hold
+    the members up to the largest sum, t is the sums' residue mod step / 2,
+    row sum a_lo * 2 + base is the first even's at carry 0, size is the
+    transform length, width the columns per transform and span per read,
+    and need the bytes this class's pass holds at once.
     """
     h = step >> 1
     s0 = e0 >> 1
@@ -391,49 +392,31 @@ def _layout(parity: ParityClass, e0: int, step: int, n: int) -> tuple[int, ...] 
     if lo > hi:
         return None
     size = _smooth(max(hi + 1, 2 * rows - 1 - lo))
-    # a transformed column: both sides' bits, float copies and spectra, and its weight
-    width = max(1, _BLOCK_BYTES // (_fft_column(rows, size)))
-    # a read column: both sides' bits, the unpacking of one, its flags and index
-    span = max(width, _BLOCK_BYTES // _read_column(rows))
-    return a_lo, rows, t, base, size, width, span
-
-
-def _fft_column(rows: int, size: int) -> int:
-    return 18 * rows + 16 * size + 40
-
-
-def _read_column(rows: int) -> int:
-    return 3 * rows + 12
+    # bytes per transformed column: both sides' bits, float copies and
+    # spectra, and its weight; per read column: both sides' bits, the
+    # unpacking of one, its flags and its index
+    fft_column, read_column = 18 * rows + 16 * size + 40, 3 * rows + 12
+    width = max(1, _BLOCK_BYTES // fft_column)
+    span = max(width, _BLOCK_BYTES // read_column)
+    # with the summed spectrum, one more and the FFT's scratch, and the
+    # unpacking's bytes past a column's bits
+    need = 24 * size + width * fft_column + span * read_column + 14 * rows
+    return a_lo, rows, t, base, size, width, span, need
 
 
 def _count_bytes(setQ: NumberSet, e0: int, step: int, n: int) -> int:
     """Upper estimate of the bytes progression_counts holds at once."""
-    need = 0
-    for c in (0, 1):
-        layout = _layout(setQ.parity_class(c), e0 - 2 * c, step, n)
-        if layout is not None:
-            rows, size, width, span = layout[1], layout[4], layout[5], layout[6]
-            # the summed spectrum, one more and the FFT's scratch, the blocks
-            # of columns, and the unpacking's bytes past a column's bits
-            need = max(need, 24 * size + width * _fft_column(rows, size) + span * _read_column(rows) + 14 * rows)
-    # the float and the integer counts, and 64 KiB for small arrays
-    return need + 16 * n + (1 << 16)
+    layouts = [_layout(setQ.parity_class(c), e0 - 2 * c, step, n) for c in (0, 1)]
+    # one class at a time, the float and the integer counts, 64 KiB for small arrays
+    return max((layout[-1] for layout in layouts if layout), default=0) + 16 * n + (1 << 16)
 
 
 def _smooth(n: int) -> int:
-    """Smallest 2^a 3^b 5^c >= n."""
-    best = 1 << max(n - 1, 0).bit_length()
-    f5 = 1
-    while f5 < best:
-        f35 = f5
-        while f35 < best:
-            f = f35
-            while f < n:
-                f *= 2
-            best = min(best, f)
-            f35 *= 3
-        f5 *= 5
-    return best
+    """Smallest 2^a 3^b 5^c >= n; a power of two below 2n is one."""
+    sizes = {1}
+    for p in (2, 3, 5):
+        sizes = {s * p**e for s in sizes for e in range(n.bit_length() + 1) if s * p**e < 2 * n}
+    return min(s for s in sizes if s >= n)
 
 
 def _columns(words: np.ndarray, h: int, a_lo: int, rows: int, j: int, b: int) -> np.ndarray:
@@ -508,7 +491,14 @@ def check_range(
     n = (hi - lo) // step + 1
     need = _count_bytes(setQ, lo, step, n)
     if need > COUNT_BUDGET:
-        raise DomainError(_budget_advice(need, step, bucket_width, sample_stride))
+        pair = 2 * sample_stride
+        raise DomainError(
+            f"counting at step {step} = gcd(2 * sample_stride, bucket_width) needs about {need >> 20} MiB, "
+            f"over the {COUNT_BUDGET >> 20} MiB budget; "
+            + (f"a bucket_width that is a multiple of 2 * sample_stride, such as "
+               f"{pair * max(1, round(bucket_width / pair))}, counts at step {pair}" if step < pair
+               else "a larger sample_stride counts at a larger step")
+        )
     bounds = [(b, min(hi, b + bucket_width - 2)) for b in range(lo, hi + 1, bucket_width)]
     failures = [e for b in bounds for e in _bucket_failures(setQ, *b)]
     counts = progression_counts(setQ, lo, step, n)
@@ -529,19 +519,6 @@ def check_range(
         buckets=buckets,
         wall_ms=wall_ms,
     )
-
-
-def _budget_advice(need: int, step: int, bucket_width: int, sample_stride: int) -> str:
-    """The refusal of a count over COUNT_BUDGET, with a layout that counts at a larger step."""
-    message = (
-        f"counting at step {step} = gcd(2 * sample_stride, bucket_width) needs about "
-        f"{need >> 20} MiB, over the {COUNT_BUDGET >> 20} MiB budget"
-    )
-    pair = 2 * sample_stride
-    if step < pair:
-        width = pair * max(1, round(bucket_width / pair))
-        return f"{message}; a bucket_width that is a multiple of 2 * sample_stride, such as {width}, counts at step {pair}"
-    return f"{message}; a larger sample_stride counts at a larger step"
 
 
 def _spot_check(setQ: NumberSet, lo: int, step: int, counts: np.ndarray, sampled: list[range]) -> None:

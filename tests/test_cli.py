@@ -176,6 +176,14 @@ class TestCheck:
         assert code == 2
         assert "even" in err
 
+    def test_count_over_budget_is_an_input_error(self, capsys):
+        # --slow counts at step 2, which at 3e7 needs more than the 1 GiB budget
+        code, out, err = run_cli(
+            capsys, "check", "--set", "primes", "--limit", "30000000", "--lo", "4", "--hi", "30000000", "--slow"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("primesim check: counting at step 2") and "1024 MiB budget" in err
+
     def test_element_beyond_int64_is_input_error(self, capsys, tmp_path):
         set_path = tmp_path / "big.txt"
         set_path.write_text("limit=100\n5\n99999999999999999999\n")
