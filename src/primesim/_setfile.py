@@ -6,10 +6,11 @@ rest with np.loadtxt, and keeps the result whenever it is one column;
 the element rules (>= 1, strictly ascending, within the header) are the
 NumberSet constructor's. A comment line further down stops np.loadtxt;
 the rows before it are read again up to it, and numpy resumes at the
-next element line, for up to _NUMPY_RUNS runs of elements. Anything else (a header further down,
-a line numpy cannot parse, a value outside int64, a bad byte) sends the
-whole file through by_line, the per-line rules, which define the format
-and raise every error with its line number.
+next element line, for up to _NUMPY_RUNS runs of elements. Anything
+else (a header further down, a line numpy cannot parse, a value outside
+int64, a bad byte) sends the whole file through by_line, the per-line
+rules, which define the format and raise every error with its line
+number.
 
 It is a module of its own, imported by load_set on first use, because a
 module's compile-time peak grows with its size: parser code inside
@@ -84,8 +85,8 @@ def _by_numpy(path: str) -> tuple[np.ndarray, int, int] | None:
             parts.append(_loadtxt(path, skip))
             break
         except ValueError:
-            # numpy stops at a comment line, or earlier at a line that
-            # no reading takes, which then stops the rows before the comment
+            # numpy stopped at a comment line, or at a bad line before
+            # it, which then stops the read of the rows before the comment
             comment = _comment_after(path, skip) if len(parts) < _NUMPY_RUNS else None
             if comment is None:
                 raise
