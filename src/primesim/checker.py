@@ -328,10 +328,11 @@ def progression_counts(setQ: NumberSet, e0: int, step: int, n: int) -> np.ndarra
         layout = _layout(setQ.parity_class(c), e0 - 2 * c, step, n)
         if layout is None:
             continue
-        a_lo, rows, t, base, size, width, span = layout[:-1]
+        a_lo, rows, t, base, size, width, span, j_lo, j_hi = layout[:-1]
         words, h = setQ.parity_class(c).words, step >> 1
-        # j from lo to hi pairs with total - j: carry 0 up to t, carry 1 above
-        for carry, (lo, hi, total) in enumerate(((0, t >> 1, t), (t + 1, (t + h) >> 1, t + h))):
+        # column j <= total - j pairs with total - j: carry 0 up to t, 1 above
+        for carry, total in enumerate((t, t + h)):
+            lo, hi = max(j_lo, total - j_hi), min(total >> 1, j_hi, total - j_lo)
             acc = None
             for j in range(lo, hi + 1, span):
                 b = min(span, hi + 1 - j)
@@ -372,11 +373,12 @@ def progression_counts(setQ: NumberSet, e0: int, step: int, n: int) -> np.ndarra
 def _layout(parity: ParityClass, e0: int, step: int, n: int) -> tuple[int, ...] | None:
     """How class indices pair up for sums e0 / 2 + (step / 2) * k, k < n (None: no pairs).
 
-    (a_lo, rows, t, base, size, width, span, need): rows from a_lo hold
-    the members up to the largest sum, t is the sums' residue mod step / 2,
-    row sum a_lo * 2 + base is the first even's at carry 0, size is the
-    transform length, width the columns per transform and span per read,
-    and need the bytes this class's pass holds at once.
+    (a_lo, rows, t, base, size, width, span, j_lo, j_hi, need): rows from
+    a_lo hold the members up to the largest sum, t is the sums' residue
+    mod step / 2, row sum a_lo * 2 + base is the first even's at carry 0,
+    size is the transform length, width the columns per transform and
+    span per read, columns j_lo to j_hi hold the members, and need is the
+    bytes this class's pass holds at once.
     """
     h = step >> 1
     s0 = e0 >> 1
@@ -401,7 +403,10 @@ def _layout(parity: ParityClass, e0: int, step: int, n: int) -> tuple[int, ...] 
     # with the summed spectrum, one more and the FFT's scratch, and the
     # unpacking's bytes past a column's bits
     need = 24 * size + width * fft_column + span * read_column + 14 * rows
-    return a_lo, rows, t, base, size, width, span, need
+    # one row holds its members in a run of columns; a step past the limit
+    # makes every class one row
+    j_lo, j_hi = (parity.first - h * a_lo, last - h * a_lo) if rows == 1 else (0, h - 1)
+    return a_lo, rows, t, base, size, width, span, j_lo, j_hi, need
 
 
 def _count_bytes(setQ: NumberSet, e0: int, step: int, n: int) -> int:

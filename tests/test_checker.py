@@ -455,6 +455,15 @@ class TestProgressionCounts:
                 expected = [pair_count(ns, e) for e in range(e0, e0 + step * n, step)]
                 assert progression_counts(ns, e0, step, n).tolist() == expected
 
+    def test_step_far_past_the_limit_reads_only_the_members_columns(self, monkeypatch, primes_10k):
+        # each class is one row, so the columns read are bounded by its
+        # members' span, not by step / 2 = 10^12
+        widths = []
+        columns = checker._columns
+        monkeypatch.setattr(checker, "_columns", lambda *args: widths.append(args[-1]) or columns(*args))
+        assert progression_counts(primes_10k, 6, 2 * 10**12, 1).tolist() == [pair_count(primes_10k, 6)]
+        assert sum(widths) <= 2 * 10_000
+
     def test_reads_only_the_bitset(self, primes_10k):
         expected = progression_counts(primes_10k, 4, 14, 1000)
         ns = NumberSet.from_elements(primes_10k.elements, primes_10k.limit)
