@@ -5,12 +5,11 @@ comment lines and the optional limit= header line by line, parses the
 rest with np.loadtxt, and keeps the result whenever it is one column;
 the element rules (>= 1, strictly ascending, within the header) are the
 NumberSet constructor's. A comment line further down stops np.loadtxt;
-the rows before it are read again up to it, and numpy resumes at the
-next element line, for up to _NUMPY_RUNS runs of elements. Anything
-else (a header further down, a line numpy cannot parse, a value outside
-int64, a bad byte) sends the whole file through by_line, the per-line
-rules, which define the format and raise every error with its line
-number.
+when every # of the file leads its line, numpy reads the file once more,
+skipping # lines. Anything else (a # after other text, a header further
+down, a line numpy cannot parse, a value outside int64, a bad byte)
+sends the whole file through by_line, the per-line rules, which define
+the format and raise every error with its line number.
 
 It is a module of its own, imported by load_set on first use, because a
 module's compile-time peak grows with its size: parser code inside
@@ -20,25 +19,15 @@ numset raised the peak RSS of every process, set file or not, by about
 
 from __future__ import annotations
 
-import collections
-import itertools
 import re
-import warnings
 from array import array
 
 import numpy as np
 
 from .errors import SetFormatError
 
-# runs of element lines, between comment lines, that numpy reads; more go line by line
-_NUMPY_RUNS = 8
-# characters of a set file searched at a time for a comment line
-_CHUNK = 1 << 20
-# a line with nothing but whitespace, and one led by neither whitespace nor #
-_BLANK = re.compile(r"^[^\S\n]*\n", re.M)
-_ELEMENT = re.compile(r"^[^\S\n]*[^\s#]", re.M)
-# the ASCII whitespace that str.strip removes, but for the line end
-_SPACES = " \t\r\x0b\x0c\x1c\x1d\x1e\x1f"
+# a # that follows other text on its line
+_LATE_HASH = re.compile(r"^[^\S\n]*[^\s#][^\n#]*#", re.M)
 
 
 def read(path: str) -> tuple[np.ndarray, int | None, int]:
@@ -63,10 +52,10 @@ def _by_numpy(path: str) -> tuple[np.ndarray, int, int] | None:
     in chunks (a file object it would iterate line by line, twice as
     slow). comments=None, so "5 # c" is two fields; ndmin=2, so a lone
     "3 5" line is a row of two columns, not two elements. A file with no
-    element line is left to by_line. A row numpy cannot read raises; when
-    a comment line follows, the rows before it are read again up to it
-    and numpy resumes at the next element line. The elements are not
-    checked here: the NumberSet constructor checks them.
+    element line is left to by_line. When numpy stops and every # leads
+    its line, it reads the rest again with comments="#", which skips the
+    comment lines and nothing else. The elements are not checked here:
+    the NumberSet constructor checks them.
     """
     limit, limit_line = None, 1
     with open(path, "r", encoding="utf-8") as fh:
@@ -79,87 +68,24 @@ def _by_numpy(path: str) -> tuple[np.ndarray, int, int] | None:
             limit, limit_line = int(line[len("limit=") :]), skip + 1
         else:
             return None
-    parts = []
-    while skip >= 0:
-        try:
-            parts.append(_loadtxt(path, skip))
-            break
-        except ValueError:
-            # numpy stopped at a comment line, or at a bad line before
-            # it, which then stops the read of the rows before the comment
-            comment = _comment_after(path, skip) if len(parts) < _NUMPY_RUNS else None
-            if comment is None:
-                raise
-            rows, resume = comment
-            if rows:
-                parts.append(_loadtxt(path, skip, rows))
-            skip = resume
-    if not parts or any(part.shape[1] != 1 for part in parts):
+    try:
+        elems = np.loadtxt(path, dtype=np.int64, comments=None, ndmin=2, skiprows=skip, encoding="utf-8")
+    except ValueError:
+        if not _comments_lead_lines(path):
+            raise
+        elems = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2, skiprows=skip, encoding="utf-8")
+    if elems.shape[1] != 1 or not elems.size:
         return None
-    if len(parts) > 1:
-        return np.concatenate(parts).reshape(-1), limit, limit_line
     # one column, so the array is its elements: reshape it without a copy
-    elems = parts[0]
     elems.resize(elems.shape[0], refcheck=False)
     return elems, limit, limit_line
 
 
-def _loadtxt(path: str, skip: int, rows: int | None = None) -> np.ndarray:
-    """np.loadtxt of the file after its first skip lines; rows (blank lines not counted) caps it."""
-    with warnings.catch_warnings():
-        # numpy warns that rows no longer count blank lines, as numpy 1.22's did
-        warnings.simplefilter("ignore", UserWarning)
-        return np.loadtxt(
-            path, dtype=np.int64, comments=None, ndmin=2, skiprows=skip, max_rows=rows, encoding="utf-8"
-        )
-
-
-def _comment_after(path: str, skip: int) -> tuple[int, int] | None:
-    """(element rows before the first comment line after line skip, lines before the next element line).
-
-    Rows leave out blank lines, as numpy's do, and the second is -1 when
-    no element line follows the comment lines there. None without a
-    comment line. The file is searched in chunks of whole lines by string
-    methods, with no Python step per line.
-    """
-    rows = lines = 0
-    found = False
+def _comments_lead_lines(path: str) -> bool:
+    """True when every # of the file is the first non-space character of its line."""
     with open(path, "r", encoding="utf-8") as fh:
-        collections.deque(itertools.islice(fh, skip), maxlen=0)
-        for chunk in iter(lambda: fh.read(_CHUNK) + fh.readline(), ""):
-            pos = 0
-            while True:
-                if found:
-                    match = _ELEMENT.search(chunk, pos)
-                    end = match.start() if match else len(chunk)
-                else:
-                    end = _comment_line(chunk, pos)
-                    rows += chunk.count("\n", pos, end) - _blank_lines(chunk[pos:end])
-                lines += chunk.count("\n", pos, end)
-                if end == len(chunk):
-                    break
-                if found:
-                    return rows, skip + lines
-                found, pos = True, end
-    return (rows, -1) if found else None
-
-
-def _comment_line(text: str, pos: int) -> int:
-    """Start of the first line led by # in text from pos, a line start; len(text) without one."""
-    at = text.find("#", pos)
-    while at >= 0:
-        start = max(text.rfind("\n", pos, at) + 1, pos)
-        if not text[start:at].strip():
-            return start
-        at = text.find("#", at + 1)
-    return len(text)
-
-
-def _blank_lines(text: str) -> int:
-    """Lines of text, whole lines, that hold nothing but whitespace."""
-    if text.isascii() and "\n\n" not in text and text[:1] != "\n" and not any(c in text for c in _SPACES):
-        return 0
-    return len(_BLANK.findall(text))
+        chunks = iter(lambda: fh.read(1 << 20) + fh.readline(), "")
+        return not any(_LATE_HASH.search(chunk) for chunk in chunks)
 
 
 def by_line(path: str) -> tuple[np.ndarray, int | None, int]:

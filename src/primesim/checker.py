@@ -319,7 +319,7 @@ def progression_counts(setQ: NumberSet, e0: int, step: int, n: int) -> np.ndarra
     need = _count_bytes(setQ, e0, step, n)
     if need > COUNT_BUDGET:
         raise DomainError(
-            f"counting {n} evens at step {step} needs about {need >> 20} MiB, "
+            f"counting at step {step} needs about {need >> 20} MiB for {n} evens, "
             f"over the {COUNT_BUDGET >> 20} MiB budget"
         )
     fft = np.fft
@@ -478,8 +478,9 @@ def check_range(
     even). Every sampled even lies in lo + step * Z, step =
     gcd(2 * sample_stride, bucket_width), so one progression_counts pass
     counts the whole progression, and each bucket's min and mean are read
-    off its own sampled evens' counts. A step whose count would not fit
-    COUNT_BUDGET is refused before the sweep. SPOT_CHECKS of the sampled
+    off its own sampled evens' counts. The count runs before the sweep, so
+    a step whose count would not fit COUNT_BUDGET is refused before it,
+    with a hint at a layout that fits. SPOT_CHECKS of the sampled
     evens, the largest among them, are then recounted by pair_count, and a
     mismatch raises.
     """
@@ -493,20 +494,18 @@ def check_range(
     t0 = time.perf_counter()
     # every sampled even is lo + a multiple of step
     step = math.gcd(2 * sample_stride, bucket_width)
-    n = (hi - lo) // step + 1
-    need = _count_bytes(setQ, lo, step, n)
-    if need > COUNT_BUDGET:
+    try:
+        counts = progression_counts(setQ, lo, step, (hi - lo) // step + 1)
+    except DomainError as err:  # over COUNT_BUDGET: the arguments are valid
         pair = 2 * sample_stride
         raise DomainError(
-            f"counting at step {step} = gcd(2 * sample_stride, bucket_width) needs about {need >> 20} MiB, "
-            f"over the {COUNT_BUDGET >> 20} MiB budget; "
+            f"{err}; the step is gcd(2 * sample_stride, bucket_width), and "
             + (f"a bucket_width that is a multiple of 2 * sample_stride, such as "
                f"{pair * max(1, round(bucket_width / pair))}, counts at step {pair}" if step < pair
                else "a larger sample_stride counts at a larger step")
-        )
+        ) from None
     bounds = [(b, min(hi, b + bucket_width - 2)) for b in range(lo, hi + 1, bucket_width)]
     failures = [e for b in bounds for e in _bucket_failures(setQ, *b)]
-    counts = progression_counts(setQ, lo, step, n)
     # each bucket's sampled evens, as positions in counts
     stride = 2 * sample_stride // step
     sampled = [range((b_lo - lo) // step, (b_hi - lo) // step + 1, stride) for b_lo, b_hi in bounds]

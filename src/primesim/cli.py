@@ -274,9 +274,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="failures below this even number do not affect exit status")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--slow", dest="slow_mode", action="store_true",
-                   help="count representations for every even")
+                   help="count representations for every even; this counts at step 2, "
+                        "which is over the 1 GiB count budget past a limit of about 1.6e7 (exit 2)")
     p.add_argument("--bucket-width", type=int, default=BUCKET_WIDTH)
-    p.add_argument("--sample-stride", type=int, default=SAMPLE_STRIDE)
+    p.add_argument("--sample-stride", type=int, default=SAMPLE_STRIDE, metavar="N",
+                   help="count representations of every N-th even of a bucket; counts run at step "
+                        "gcd(2N, bucket width), and a step whose count needs over 1 GiB is refused "
+                        "(exit 2), so keep the bucket width a multiple of 2N")
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     p.add_argument("--out", help="report destination (default stdout)")
 

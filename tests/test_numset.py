@@ -572,6 +572,7 @@ class TestBlockParsedLoad:
             "5,6\n",
             "5 # c\n",  # no comment after an element
             "limit=9\n3\n# c\n5\n",  # a comment after elements
+            "limit=9\n3\n# c\n5 # d\n",  # and a # after an element
             "\n  \n# c\nlimit=9\n3\n",  # a header after blank lines
             "limit=9\n  \n\t\n",  # a header and only whitespace lines
             "# a\x0bb\x0cc\x1cd\x85e\u2028f\nlimit=9\n3\n5\n",  # none of these ends a line
@@ -619,7 +620,7 @@ class TestBlockParsedLoad:
         assert load_set(str(path)) == ns
 
     def test_comment_lines_mid_file_skip_the_per_line_rules(self, tmp_path, monkeypatch):
-        # numpy stops at each comment line and resumes after it
+        # numpy stops at the first comment line and reads the file again, skipping # lines
         ns = simsets.perturb_primes(100_000, 2)
         path = tmp_path / "set.txt"
         save_set(ns, str(path), header_comments=["c"])
