@@ -23,8 +23,11 @@ progression_counts gets the counts of every even of an arithmetic
 progression at once: they are a decimated autoconvolution of the class,
 which the polyphase split of multirate filtering (Vaidyanathan 1990) turns
 into one short FFT per column of the class laid out in rows of step / 2
-bits. check_range counts its sampled evens that way and recounts a few
-with pair_count, its oracle.
+bits. Its transforms, which numpy runs without holding the interpreter
+lock, are split over two threads when the process may use two CPUs; the
+sweep and the scan stay in the calling thread, where a pool of two threads
+over the buckets lost to one. check_range counts its sampled evens that
+way and recounts a few with pair_count, its oracle.
 Distance sets A_n/B_n and their disjointness are materialized only for
 diagnostics and small-scale equivalence tests.
 """
@@ -32,13 +35,16 @@ diagnostics and small-scale equivalence tests.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError
 from .numset import BLOCK_WORDS, NumberSet, ParityClass, bits_at, extract_window
@@ -48,8 +54,9 @@ SAMPLE_STRIDE = 1_000
 _SCAN_TESTS = 256  # candidate tests per scan step, shared by the open evens
 # bytes that progression_counts may hold at once; a larger count is refused
 COUNT_BUDGET = 1 << 30
-# bytes of column bits, float copies and spectra per block of FFT columns
-_BLOCK_BYTES = 1 << 19
+# bytes of column bits, float copies and spectra per block of FFT columns, in each
+# of the two threads
+_BLOCK_BYTES = 1 << 18
 # sampled evens that check_range recounts with pair_count
 SPOT_CHECKS = 16
 
@@ -267,16 +274,17 @@ def _sweep_open(setQ: NumberSet, lo: int, hi: int) -> np.ndarray:
     q1's parity and is bit ((lo - q1) >> 1) + j of class q1 & 1, so OR-ing
     in that class's window from (lo - q1) >> 1 marks every even e with
     e - q1 in the set. Elements go in ascending order until at most one
-    even per 64 integers of [lo, hi] is open (or 2 * q1 > hi, past which a
-    new pair would repeat one already found); the rest are left to the
-    scan. Meant for hi <= limit + 1, where small q1 split most evens.
+    even per 1,024 integers of [lo, hi] is open (or 2 * q1 > hi, past which
+    a new pair would repeat one already found); the rest are left to the
+    scan, which costs far more per even than one more OR of the sweep.
+    Meant for hi <= limit + 1, where small q1 split most evens.
     """
     nbits = ((hi - lo) >> 1) + 1
     R = np.zeros((nbits + 63) >> 6, dtype=np.uint64)
     if nbits & 63:
         R[-1] = ~_U64((1 << (nbits & 63)) - 1)  # padding past hi counts as settled
     classes = [setQ.parity_class(c).words for c in (0, 1)]
-    few = ((hi - lo) >> 6) + 1
+    few = ((hi - lo) >> 10) + 1
     for q1 in map(int, setQ.elements):
         open_evens = (R.size << 6) - int(np.bitwise_count(R).sum())
         if open_evens <= few or 2 * q1 > hi:
@@ -322,39 +330,7 @@ def progression_counts(setQ: NumberSet, e0: int, step: int, n: int) -> np.ndarra
             f"counting at step {step} needs about {need >> 20} MiB for {n} evens, "
             f"over the {COUNT_BUDGET >> 20} MiB budget"
         )
-    fft = np.fft
-    ordered = np.zeros(n)
-    for c in (0, 1):
-        layout = _layout(setQ.parity_class(c), e0 - 2 * c, step, n)
-        if layout is None:
-            continue
-        a_lo, rows, t, base, size, width, span, j_lo, j_hi = layout[:-1]
-        words, h = setQ.parity_class(c).words, step >> 1
-        # column j <= total - j pairs with total - j: carry 0 up to t, 1 above
-        for carry, total in enumerate((t, t + h)):
-            lo, hi = max(j_lo, total - j_hi), min(total >> 1, j_hi, total - j_lo)
-            acc = None
-            for j in range(lo, hi + 1, span):
-                b = min(span, hi + 1 - j)
-                left = _columns(words, h, a_lo, rows, j, b)
-                right = _columns(words, h, a_lo, rows, total - j - b + 1, b)[::-1]
-                cols = np.flatnonzero(left.any(axis=1) & right.any(axis=1))
-                for q in range(0, cols.size, width):
-                    part = cols[q : q + width]
-                    spec = fft.rfft(left[part], size)
-                    # a column paired with itself is transformed once
-                    alone = part.size == 1 and 2 * (j + int(part[0])) == total
-                    spec *= spec if alone else fft.rfft(right[part], size)
-                    spec = np.where(2 * (j + part) == total, 1.0, 2.0) @ spec
-                    if acc is None:
-                        acc = spec
-                    else:
-                        acc += spec
-            if acc is not None:
-                conv = fft.irfft(acc, size)
-                start = base - carry
-                k0, k1 = max(0, -start), min(n, 2 * rows - 1 - start)
-                ordered[k0:k1] += conv[start + k0 : start + k1]
+    ordered = _ordered_counts(setQ, e0, step, n)
     counts = np.empty(n, dtype=np.int64)
     np.rint(ordered, out=counts, casting="unsafe")
     ordered -= counts
@@ -368,6 +344,98 @@ def progression_counts(setQ: NumberSet, e0: int, step: int, n: int) -> np.ndarra
         counts[k : k + half.size] += bits_at(setQ._words, (half & 1) * (setQ._words.size << 5) + (half >> 1))
     counts >>= 1
     return counts
+
+
+def _ordered_counts(setQ: NumberSet, e0: int, step: int, n: int) -> np.ndarray:
+    """Ordered pair counts of e0 + step * k, k < n, as the floats the inverse FFTs give."""
+    ordered = np.zeros(n)
+    h = step >> 1
+    for c in (0, 1):
+        layout = _layout(setQ.parity_class(c), e0 - 2 * c, step, n)
+        if layout is None:
+            continue
+        a_lo, rows, t, base, size, width, span, j_lo, j_hi = layout[:-1]
+        words = setQ.parity_class(c).words
+        # column j <= total - j pairs with total - j: carry 0 up to t, 1 above
+        for carry, total in enumerate((t, t + h)):
+            lo, hi = max(j_lo, total - j_hi), min(total >> 1, j_hi, total - j_lo)
+            if lo > hi:
+                continue
+            spectrum = functools.partial(_spectrum_sum, words, h, a_lo, rows, total, hi, size, width, span)
+            conv = np.fft.irfft(_sum_halves(spectrum, range(lo, hi + 1, span)), size)
+            start = base - carry
+            k0, k1 = max(0, -start), min(n, 2 * rows - 1 - start)
+            ordered[k0:k1] += conv[start + k0 : start + k1]
+    return ordered
+
+
+def _spectrum_sum(
+    words: np.ndarray, h: int, a_lo: int, rows: int, total: int, hi: int, size: int, width: int, span: int,
+    blocks: range,
+) -> np.ndarray:
+    """Sum of rfft(column j) * rfft(column total - j) over the blocks' columns j <= hi.
+
+    A block is the span columns from its start. Only pairs of nonzero
+    columns are transformed, width at a time; a pair off the diagonal
+    (j != total - j) stands for both orders and counts twice.
+    """
+    fft = np.fft
+    acc = np.zeros(size // 2 + 1, dtype=complex)
+    for j in blocks:
+        b = min(span, hi + 1 - j)
+        left = _columns(words, h, a_lo, rows, j, b)
+        right = _columns(words, h, a_lo, rows, total - j - b + 1, b)[::-1]
+        cols = np.flatnonzero(left.any(axis=1) & right.any(axis=1))
+        for q in range(0, cols.size, width):
+            part = cols[q : q + width]
+            spec = fft.rfft(left[part], size)
+            # a column paired with itself is transformed once
+            alone = part.size == 1 and 2 * (j + int(part[0])) == total
+            spec *= spec if alone else fft.rfft(right[part], size)
+            np.multiply(spec, 2.0, out=spec, where=(2 * (j + part) != total)[:, None])
+            acc += spec.sum(axis=0)
+    return acc
+
+
+def _sum_halves(sum_of: Callable[[range], np.ndarray], blocks: range) -> np.ndarray:
+    """sum_of(the even-numbered blocks) + sum_of(the odd-numbered ones), added in that order.
+
+    With two or more blocks and two CPUs, the odd-numbered ones are summed
+    by one worker thread while the caller sums the others; the worker is
+    joined before this returns or raises, and an exception it raised is
+    raised again here. The split and the order of the addition do not
+    depend on the threads, so neither does the result.
+    """
+    if len(blocks) < 2 or _cpus() < 2:
+        first = sum_of(blocks[0::2])
+        first += sum_of(blocks[1::2])
+        return first
+    second: list[np.ndarray] = []
+    errors: list[BaseException] = []
+
+    def work() -> None:
+        try:
+            second.append(sum_of(blocks[1::2]))
+        except BaseException as err:  # raised again in the caller
+            errors.append(err)
+
+    worker = threading.Thread(target=work, name="progression-counts")
+    worker.start()
+    try:
+        first = sum_of(blocks[0::2])
+    finally:
+        worker.join()
+    if errors:
+        raise errors[0]
+    first += second[0]
+    return first
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _layout(parity: ParityClass, e0: int, step: int, n: int) -> tuple[int, ...] | None:
@@ -400,9 +468,9 @@ def _layout(parity: ParityClass, e0: int, step: int, n: int) -> tuple[int, ...] 
     fft_column, read_column = 18 * rows + 16 * size + 40, 3 * rows + 12
     width = max(1, _BLOCK_BYTES // fft_column)
     span = max(width, _BLOCK_BYTES // read_column)
-    # with the summed spectrum, one more and the FFT's scratch, and the
-    # unpacking's bytes past a column's bits
-    need = 24 * size + width * fft_column + span * read_column + 14 * rows
+    # per thread, with its summed spectrum, one more and the FFT's scratch,
+    # and the unpacking's bytes past a column's bits
+    need = 2 * (24 * size + width * fft_column + span * read_column + 14 * rows)
     # one row holds its members in a run of columns; a step past the limit
     # makes every class one row
     j_lo, j_hi = (parity.first - h * a_lo, last - h * a_lo) if rows == 1 else (0, h - 1)
@@ -430,22 +498,26 @@ def _columns(words: np.ndarray, h: int, a_lo: int, rows: int, j: int, b: int) ->
     Bit h * (a_lo + a) + j + i of `words` goes to [i, a]; bits past the
     class read 0. Rows a, a + p, ... with p = 8 / gcd(h, 8) start at one
     bit offset, evenly many bytes apart, so each such group is one
-    strided view of the class's bytes, unpacked; rows whose bytes would
-    run past the class's end are read bit by bit.
+    strided view of the class's bytes, one nb-byte item per row, copied
+    and unpacked; rows whose bytes would run past the class's end are
+    read bit by bit.
     """
     data = words.view(np.uint8)
     out = np.zeros((b, rows), dtype=np.uint8)
     nb = (b + 14) >> 3  # bytes that hold b bits from any bit offset
     p = 8 // math.gcd(h, 8)
-    windows = sliding_window_view(data, nb) if data.size >= nb else data[:0, None]
+    stride = h * p >> 3
     missed = []
     for r in range(min(p, rows)):
         bit0 = h * (a_lo + r) + j
-        group = windows[bit0 >> 3 :: h * p >> 3][: (rows - r + p - 1) // p]
-        if group.size:
-            bits = np.unpackbits(group, axis=1, bitorder="little")
-            out[:, r : r + p * len(group) : p] = bits[:, (bit0 & 7) : (bit0 & 7) + b].T
-        missed.append(np.arange(r + p * len(group), rows, p))
+        # rows of the group whose nb bytes lie inside the class
+        count = max(0, min((rows - r + p - 1) // p, (data.size - nb - (bit0 >> 3)) // stride + 1))
+        if count:
+            # one void item per row: numpy copies a row at a time, not a byte
+            group = np.ndarray((count,), dtype=(np.void, nb), buffer=data, offset=bit0 >> 3, strides=(stride,))
+            bits = np.unpackbits(group.copy().view(np.uint8), bitorder="little").reshape(count, 8 * nb)
+            out[:, r : r + p * count : p] = bits[:, (bit0 & 7) : (bit0 & 7) + b].T
+        missed.append(np.arange(r + p * count, rows, p))
     missed = np.concatenate(missed)
     if missed.size:
         pos = (h * (a_lo + missed))[:, None] + np.arange(j, j + b)
@@ -467,8 +539,10 @@ def check_range(
 
     Buckets are fixed by (lo, hi, bucket_width) and swept one after another
     in the calling thread. `workers` must be >= 1 and changes nothing: on
-    a 2-vCPU host a pool of two threads lost to one on the primes (to 2e7,
-    0.242 s against 0.194 s) and gained 6% on perturbed seed 1 at 1e7.
+    a 2-vCPU host a pool of two threads over the buckets lost to one on
+    the primes (to 2e7, 0.242 s against 0.194 s) and gained 6% on perturbed
+    seed 1 at 1e7. Only the counts' transforms use a second CPU, inside
+    progression_counts, whatever `workers` says.
     Within a bucket the word-parallel sweep settles most evens up to
     limit + 1; the open remainder and any evens above limit + 1 go through
     the candidate scan, and the evens it cannot split are the failures.
@@ -529,8 +603,7 @@ def _spot_check(setQ: NumberSet, lo: int, step: int, counts: np.ndarray, sampled
     """Recount SPOT_CHECKS sampled evens, the first and the largest among them, with pair_count.
 
     They are spread evenly over the sampled evens, the buckets' `sampled`
-    positions in counts taken in order, and counted in order of even/2
-    mod 64, so pair_count builds each reversal slot once.
+    positions in counts taken in order.
     """
     ends = list(itertools.accumulate(map(len, sampled)))
     picks = set()
@@ -538,7 +611,7 @@ def _spot_check(setQ: NumberSet, lo: int, step: int, counts: np.ndarray, sampled
         k = i * (ends[-1] - 1) // (SPOT_CHECKS - 1)
         b = bisect.bisect_right(ends, k)
         picks.add(sampled[b][k - (ends[b - 1] if b else 0)])
-    for at in sorted(picks, key=lambda at: (((lo >> 1) + (step >> 1) * at) & 63, at)):
+    for at in sorted(picks):
         even, fast = lo + step * at, int(counts[at])
         if pair_count(setQ, even) != fast:
             raise ArithmeticError(f"the FFT count of {even} is {fast}, pair_count gives {pair_count(setQ, even)}")

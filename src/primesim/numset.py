@@ -40,9 +40,11 @@ _U64 = np.uint64
 # class's reversal slot, moving perturbed primes, the similarity scan
 BLOCK_WORDS = 1 << 14
 
-# bit-reversal of a byte, for reversed-window extraction
-_REV8 = np.array(
-    [int(f"{i:08b}"[::-1], 2) for i in range(256)], dtype=np.uint8
+# masks and shifts that swap a word's adjacent bits, bit pairs and nibbles:
+# with a byte swap, its bit-reversal
+_SWAPS = tuple(
+    (_U64(mask), _U64(shift))
+    for mask, shift in ((0x5555555555555555, 1), (0x3333333333333333, 2), (0x0F0F0F0F0F0F0F0F, 4))
 )
 
 
@@ -166,7 +168,7 @@ class ParityClass:
     counted without reading its words.
     """
 
-    __slots__ = ("words", "first", "last", "_shifted")
+    __slots__ = ("words", "first", "last")
 
     def __init__(self, words: np.ndarray):
         self.words = words
@@ -176,7 +178,6 @@ class ParityClass:
         # an empty class gets first > last, so no count reaches its words
         self.first = (w0 << 6) + (low & -low).bit_length() - 1 if low else 0
         self.last = (w1 << 6) + high.bit_length() - 1 if low else -1
-        self._shifted: tuple[int, np.ndarray] | None = None
 
     def reversal_slot(self, s: int) -> np.ndarray:
         """The class's bit-reversal read from bit key - 64, key = ~s & 63.
@@ -186,16 +187,10 @@ class ParityClass:
         64k + key - 1] of the reversal, bits outside it reading 0, so the
         reversed window that pairs index i1 with s - i1 from a word-aligned
         i1 is an aligned slice; every sum congruent to s mod 64 shares it.
-        The slot holds one key at a time. A new key frees the old array,
-        then builds its own block by block, so the build holds no second
-        full-size array. Threads that share the class still read correct
-        slots, but rebuild one whenever their keys alternate.
+        Each call builds a new slot, block by block, so the build holds no
+        second full-size array, and nothing is kept after the caller drops it.
         """
         key = ~s & 63
-        slot = self._shifted
-        if slot is not None and slot[0] == key:
-            return slot[1]
-        self._shifted = slot = None
         words = self.words
         n = words.size
         out = np.empty(n + 1, dtype=np.uint64)
@@ -205,13 +200,23 @@ class ParityClass:
             # reversal words k0 - 1 .. k1 - 1; those outside [0, n) read 0
             rev = np.zeros(k1 - k0 + 1, dtype=np.uint64)
             a, b = max(k0 - 1, 0), min(k1, n)
-            rev_bytes = _REV8[words[n - b : n - a].view(np.uint8)[::-1]]
-            rev[a - k0 + 1 : b - k0 + 1] = rev_bytes.view(np.uint64)
+            _reverse_bits(rev[a - k0 + 1 : b - k0 + 1], words[n - b : n - a][::-1])
             np.left_shift(rev[1:], up, out=out[k0:k1])
             out[k0:k1] |= rev[:-1] >> down
-        out.flags.writeable = False
-        self._shifted = (key, out)
         return out
+
+
+def _reverse_bits(out: np.ndarray, words: np.ndarray) -> None:
+    """Each uint64 word's bits in reverse order, into out."""
+    out[:] = words
+    out.byteswap(inplace=True)
+    swapped = np.empty_like(out)
+    for mask, shift in _SWAPS:
+        np.right_shift(out, shift, out=swapped)
+        swapped &= mask
+        out &= mask
+        out <<= shift
+        out |= swapped
 
 
 def bits_at(words: np.ndarray, xs: np.ndarray) -> np.ndarray:

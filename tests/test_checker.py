@@ -42,6 +42,17 @@ def brute_force_count(members: set[int], even2n: int) -> int:
     return sum(1 for q in members if 2 * q <= even2n and (even2n - q) in members)
 
 
+def floats_by_cpus(ns: NumberSet, e0: int, step: int, n: int, block_bytes: int) -> list[np.ndarray]:
+    """The counts' floats before rounding with one CPU and with two, at the given block size."""
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checker, "_BLOCK_BYTES", block_bytes)
+        for cpus in (1, 2):
+            mp.setattr(checker, "_cpus", lambda: cpus)
+            out.append(checker._ordered_counts(ns, e0, step, n))
+    return out
+
+
 @st.composite
 def random_sets(draw) -> NumberSet:
     """Random sets in three shapes; limits include 64k - 1 and 64k.
@@ -300,16 +311,31 @@ class TestCheckRange:
             assert other.failures == base.failures
             assert other.buckets == base.buckets
 
-    def test_starts_no_thread(self, monkeypatch, primes_100k):
-        # every bucket runs in the calling thread, whatever `workers` says
+    def test_counts_start_at_most_one_thread(self, monkeypatch, primes_100k):
+        # the buckets run in the calling thread, whatever `workers` says;
+        # the counts' transforms take one worker at a time when two CPUs
+        # are available, and none with one. Small blocks give every pass
+        # here more than one block, so it splits.
+        monkeypatch.setattr(checker, "_BLOCK_BYTES", 1 << 12)
+        alive_at_start = []
+        start = threading.Thread.start
+
+        def counted(self):
+            alive_at_start.append(threading.active_count())
+            start(self)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        monkeypatch.setattr(checker, "_cpus", lambda: 1)
         base = check_range(primes_100k, 4, 100_000, bucket_width=10_000)
-
-        def refuse(self):
-            raise AssertionError("check_range started a thread")
-
-        monkeypatch.setattr(threading.Thread, "start", refuse)
-        two = check_range(primes_100k, 4, 100_000, workers=2, bucket_width=10_000)
-        assert (two.failures, two.buckets) == (base.failures, base.buckets)
+        assert alive_at_start == []
+        monkeypatch.setattr(checker, "_cpus", lambda: 2)
+        before = threading.active_count()
+        for workers in (1, 2, 7):
+            report = check_range(primes_100k, 4, 100_000, workers=workers, bucket_width=10_000)
+            assert (report.failures, report.buckets) == (base.failures, base.buckets)
+        # each worker started with no other worker alive, and none outlives the check
+        assert alive_at_start and set(alive_at_start) == {before}
+        assert threading.active_count() == before
         with pytest.raises(DomainError):
             check_range(primes_100k, 4, 100_000, workers=0)
 
@@ -353,7 +379,7 @@ class TestCheckRange:
     def test_pair_count_only_for_spot_checks(self, monkeypatch, primes_100k, workers):
         # sample_stride 7 with bucket_width 10_000 counts at step 2 in one
         # FFT pass; pair_count recounts SPOT_CHECKS fixed sampled evens,
-        # the largest among them, in order of even/2 mod 64
+        # the largest among them
         calls = []
 
         def spy(setQ, even):
@@ -365,8 +391,6 @@ class TestCheckRange:
         sampled = {e for lo in range(4, 100_001, 10_000) for e in range(lo, min(lo + 9_999, 100_001), 14)}
         assert len(calls) == SPOT_CHECKS and set(calls) <= sampled
         assert max(sampled) in calls and 4 in calls
-        residues = [(e >> 1) & 63 for e in calls]
-        assert residues == sorted(residues)
 
     def test_spot_check_mismatch_raises(self, monkeypatch, primes_10k):
         fast = checker.progression_counts
@@ -454,6 +478,59 @@ class TestProgressionCounts:
                 n = (2 * limit - e0) // step + 1
                 expected = [pair_count(ns, e) for e in range(e0, e0 + step * n, step)]
                 assert progression_counts(ns, e0, step, n).tolist() == expected
+
+    @given(
+        ns=random_sets(),
+        pick=st.integers(min_value=0, max_value=4),
+        start=st.floats(min_value=0, max_value=1),
+        block_bytes=st.sampled_from([1 << 8, checker._BLOCK_BYTES]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_two_threads_give_the_floats_of_one(self, ns, pick, start, block_bytes):
+        # the floats before rounding are equal bit for bit, so the counts
+        # and the rounding residual are too; 256-byte blocks split most passes
+        step = [2, 4, 6, 14, 2000][pick]
+        e0 = 2 + 2 * int(start * (ns.limit - 1))
+        n = (2 * ns.limit - e0) // step + 1
+        one, two = floats_by_cpus(ns, e0, step, n, block_bytes)
+        assert np.array_equal(one, two)
+
+    @pytest.mark.parametrize("step", [2, 14, 2000])
+    def test_two_threads_give_the_counts_of_one_on_the_primes(self, monkeypatch, step):
+        ns = primes_up_to(200_000)
+        n = (400_000 - 4) // step + 1
+        starts = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda self: starts.append(self) or start(self))
+        one, two = floats_by_cpus(ns, 4, step, n, 1 << 12)
+        assert np.array_equal(one, two)
+        # step 2 is one column, a single block; the others split
+        assert bool(starts) == (step > 2)
+        counts = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(checker, "_cpus", lambda: cpus)
+            counts.append(progression_counts(ns, 4, step, n))
+        assert np.array_equal(*counts)
+        assert counts[0][-1] == pair_count(ns, 4 + step * (n - 1))
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch, primes_10k):
+        monkeypatch.setattr(checker, "_BLOCK_BYTES", 1 << 10)
+        monkeypatch.setattr(checker, "_cpus", lambda: 2)
+        rfft = np.fft.rfft
+        workers = []
+
+        def failing(*args, **kwargs):
+            if threading.current_thread().name == "progression-counts":
+                workers.append(threading.current_thread())
+                raise MemoryError("rfft in the worker")
+            return rfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", failing)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="rfft in the worker"):
+            progression_counts(primes_10k, 4, 14, 1000)
+        assert workers and not any(worker.is_alive() for worker in workers)
+        assert threading.active_count() == before
 
     def test_step_far_past_the_limit_reads_only_the_members_columns(self, monkeypatch, primes_10k):
         # each class is one row, so the columns read are bounded by its

@@ -298,35 +298,18 @@ class TestParityClasses:
                 # bit i of the slot is bit i + key - 64 of the reversal; below 0 reads 0
                 assert np.array_equal(unpacked(slot), padded[key : key + total + 64]), (c, s)
 
-    def test_reversal_slot_keeps_one_slot(self, primes_10k):
-        ns = NumberSet.from_elements(primes_10k.elements, primes_10k.limit)
-        cls = ns.parity_class(1)
-        first = cls.reversal_slot(7)
-        assert cls.reversal_slot(7) is first
-        assert cls.reversal_slot(7 + 64) is first  # sums with one residue share it
-        assert not first.flags.writeable
-        other = cls.reversal_slot(9)
-        assert other is not first and cls.reversal_slot(9) is other
-        assert cls.reversal_slot(7) is not first
-        assert np.array_equal(cls.reversal_slot(7), first)
-
     def test_reversal_slot_build_holds_no_second_copy(self):
-        # a first slot costs its own bytes plus block temporaries; a new key
-        # frees the old slot before building, so a rebuild adds temporaries only
+        # a slot costs its own bytes plus block temporaries
         cls = primes_up_to(20_000_000).parity_class(1)
         slot_bytes = (cls.words.size + 1) * 8
         tracemalloc.start()
         try:
-            peaks = []
-            for s in (0, 5):
-                tracemalloc.reset_peak()
-                base = tracemalloc.get_traced_memory()[0]
-                cls.reversal_slot(s)
-                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            base = tracemalloc.get_traced_memory()[0]
+            cls.reversal_slot(0)
+            peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peaks[0] <= slot_bytes + 2**20, (peaks, slot_bytes)
-        assert peaks[1] <= 2**20, (peaks, slot_bytes)
+        assert peak <= slot_bytes + 2**20, (peak, slot_bytes)
 
 
 class TestSetFile:
