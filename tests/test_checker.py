@@ -1,4 +1,5 @@
 import json
+import sys
 import threading
 import time
 import tracemalloc
@@ -531,6 +532,30 @@ class TestProgressionCounts:
             progression_counts(primes_10k, 4, 14, 1000)
         assert workers and not any(worker.is_alive() for worker in workers)
         assert threading.active_count() == before
+
+    def test_concurrent_callers_under_fast_switching(self, monkeypatch, primes_10k):
+        # four callers on one set, each with its own worker: more threads
+        # than cores, switching every microsecond
+        monkeypatch.setattr(checker, "_BLOCK_BYTES", 1 << 10)
+        monkeypatch.setattr(checker, "_cpus", lambda: 2)
+        expected = progression_counts(primes_10k, 4, 14, 1000)
+        results = [None] * 4
+
+        def run(i):
+            results[i] = progression_counts(primes_10k, 4, 14, 1000)
+
+        callers = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert all(np.array_equal(result, expected) for result in results)
 
     def test_step_far_past_the_limit_reads_only_the_members_columns(self, monkeypatch, primes_10k):
         # each class is one row, so the columns read are bounded by its
