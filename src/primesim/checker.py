@@ -35,14 +35,12 @@ diagnostics and small-scale equivalence tests.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -361,8 +359,8 @@ def _ordered_counts(setQ: NumberSet, e0: int, step: int, n: int) -> np.ndarray:
             lo, hi = max(j_lo, total - j_hi), min(total >> 1, j_hi, total - j_lo)
             if lo > hi:
                 continue
-            spectrum = functools.partial(_spectrum_sum, words, h, a_lo, rows, total, hi, size, width, span)
-            conv = np.fft.irfft(_sum_halves(spectrum, range(lo, hi + 1, span)), size)
+            args = (words, h, a_lo, rows, total, hi, size, width, span)
+            conv = np.fft.irfft(_sum_halves(args, range(lo, hi + 1, span)), size)
             start = base - carry
             k0, k1 = max(0, -start), min(n, 2 * rows - 1 - start)
             ordered[k0:k1] += conv[start + k0 : start + k1]
@@ -397,8 +395,8 @@ def _spectrum_sum(
     return acc
 
 
-def _sum_halves(sum_of: Callable[[range], np.ndarray], blocks: range) -> np.ndarray:
-    """sum_of(the even-numbered blocks) + sum_of(the odd-numbered ones), added in that order.
+def _sum_halves(args: tuple, blocks: range) -> np.ndarray:
+    """_spectrum_sum(*args, the even-numbered blocks) + the same of the odd-numbered ones, in that order.
 
     With two or more blocks and two CPUs, the odd-numbered ones are summed
     by one worker thread while the caller sums the others; the worker is
@@ -407,22 +405,22 @@ def _sum_halves(sum_of: Callable[[range], np.ndarray], blocks: range) -> np.ndar
     depend on the threads, so neither does the result.
     """
     if len(blocks) < 2 or _cpus() < 2:
-        first = sum_of(blocks[0::2])
-        first += sum_of(blocks[1::2])
+        first = _spectrum_sum(*args, blocks[0::2])
+        first += _spectrum_sum(*args, blocks[1::2])
         return first
     second: list[np.ndarray] = []
     errors: list[BaseException] = []
 
     def work() -> None:
         try:
-            second.append(sum_of(blocks[1::2]))
+            second.append(_spectrum_sum(*args, blocks[1::2]))
         except BaseException as err:  # raised again in the caller
             errors.append(err)
 
     worker = threading.Thread(target=work, name="progression-counts")
     worker.start()
     try:
-        first = sum_of(blocks[0::2])
+        first = _spectrum_sum(*args, blocks[0::2])
     finally:
         worker.join()
     if errors:
@@ -468,12 +466,15 @@ def _layout(parity: ParityClass, e0: int, step: int, n: int) -> tuple[int, ...] 
     fft_column, read_column = 18 * rows + 16 * size + 40, 3 * rows + 12
     width = max(1, _BLOCK_BYTES // fft_column)
     span = max(width, _BLOCK_BYTES // read_column)
-    # per thread, with its summed spectrum, one more and the FFT's scratch,
-    # and the unpacking's bytes past a column's bits
-    need = 2 * (24 * size + width * fft_column + span * read_column + 14 * rows)
     # one row holds its members in a run of columns; a step past the limit
     # makes every class one row
     j_lo, j_hi = (parity.first - h * a_lo, last - h * a_lo) if rows == 1 else (0, h - 1)
+    # a pass reads at most j_hi - j_lo + 1 columns, so it splits over two
+    # threads only if they are more than one span
+    threads = 2 if j_hi - j_lo + 1 > span else 1
+    # per thread, with its summed spectrum, one more and the FFT's scratch,
+    # and the unpacking's bytes past a column's bits
+    need = threads * (24 * size + width * fft_column + span * read_column + 14 * rows)
     return a_lo, rows, t, base, size, width, span, j_lo, j_hi, need
 
 

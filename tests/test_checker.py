@@ -598,6 +598,13 @@ class TestProgressionCounts:
         assert counts[-1] == pair_count(ns, 4 + 2000 * (n - 1))
         assert COUNT_BUDGET == 2**30
 
+    def test_one_block_passes_count_one_thread(self):
+        # step 2 (check --slow) is one column, a single block that no worker
+        # shares: its estimate holds one thread's buffers, about 625 MiB at
+        # 10^7, within the budget (two threads' would be about 1170 MiB)
+        ns = primes_up_to(10_000_000)
+        assert checker._count_bytes(ns, 4, 2, (10_000_000 - 4) // 2 + 1) < 700 * 2**20 < COUNT_BUDGET
+
 
 class TestMinimalRepresentations:
     def test_matches_single_queries(self, primes_10k):
