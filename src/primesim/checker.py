@@ -16,9 +16,9 @@ a time on every open even; evens it cannot split are failures.
 
 Representation counts r(2n) = |A_n ∩ B_n| (the paper's identity) sum each
 class's pairs of indices i1 <= i2 with i1 + i2 = n - c. pair_count gets
-one such count by one AND + popcount of the class's words against a
-bit-reversed window, an aligned slice of its reversal pre-shifted for the
-sum mod 64, over the indices between the class's first and last members.
+one such count by one AND + popcount of a window of the class's words
+against a bit-reversed window of their partners, over the indices between
+the class's first and last members.
 progression_counts gets the counts of every even of an arithmetic
 progression at once: they are a decimated autoconvolution of the class,
 which the polyphase split of multirate filtering (Vaidyanathan 1990) turns
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numset import BLOCK_WORDS, NumberSet, ParityClass, bits_at, extract_window
+from .numset import BLOCK_WORDS, NumberSet, ParityClass, bits_at, extract_window, reverse_bits
 
 BUCKET_WIDTH = 1_000_000
 SAMPLE_STRIDE = 1_000
@@ -149,12 +149,10 @@ def _class_count(parity: ParityClass, s: int) -> int:
 
     Only i1 in [i_lo, s >> 1], i_lo = max(first, s - last), can pair:
     below first i1 is no member, and below s - last its partner s - i1 is
-    none. Those words are ANDed with the matching aligned slice of the
-    class's reversal slot for s, i1 > s >> 1 is masked in the top word,
-    and the result popcounted; the bits below i_lo in the first word read
-    0 on one side or the other. A one-member class has a range only for
-    s = 2 * first, where its one pair is the member with itself, so it
-    builds no slot.
+    none. The window of those i1 is ANDed with the whole words of partners
+    that end at s - i_lo, reversed so that bit j is s - i_lo - j, the
+    partner of i_lo + j, and popcounted. A one-member class pairs only at
+    s = 2 * first, the member with itself, so it reads no words.
     """
     h = s >> 1
     i_lo = max(parity.first, s - parity.last)
@@ -162,14 +160,11 @@ def _class_count(parity: ParityClass, s: int) -> int:
         return 0
     if parity.first == parity.last:
         return 1
-    words = parity.words
-    w_lo, w_hi = i_lo >> 6, h >> 6
-    # bit j of B is member s - (64 * w_lo + j), read from bit start of the
-    # reversal; start >= -63, and start & 63 == ~s & 63, the slot's key
-    start = (words.size << 6) - 1 - s + (w_lo << 6)
-    k = (start >> 6) + 1
-    B = parity.reversal_slot(s)[k : k + w_hi - w_lo + 1] & words[w_lo : w_hi + 1]
-    B[-1] &= _U64((2 << (h & 63)) - 1)
+    B = extract_window(parity.words, i_lo, h)
+    top = s - i_lo
+    partners = extract_window(parity.words, top - 64 * B.size + 1, top)[::-1]
+    reverse_bits(partners, partners)
+    B &= partners
     return int(np.bitwise_count(B, out=B).sum())
 
 

@@ -9,7 +9,7 @@ it, with the member 2i + c at bit i (bit i of word w is 64*w + i), since
 a sum of two elements is even only when both share a parity.
 
 The module also owns the shared on-disk set format (its reader, numpy's
-text parser backed by the per-line rules, is in _setfile), a cached full
+text parser backed by the per-line rules, is in _setfile), a full
 bit-reversal, and the packed-window bit helpers and class views
 (ParityClass) that the Goldbach checker builds its sweep, scan and
 representation counts on.
@@ -36,8 +36,8 @@ _ONE = np.uint64(1)
 _U64 = np.uint64
 
 # words (or elements) per block in the passes that would otherwise hold
-# full-size temporaries: packing a bitset from elements, building a
-# class's reversal slot, moving perturbed primes, the similarity scan
+# full-size temporaries: packing a bitset from elements, moving perturbed
+# primes, the similarity scan
 BLOCK_WORDS = 1 << 14
 
 # masks and shifts that swap a word's adjacent bits, bit pairs and nibbles:
@@ -58,7 +58,7 @@ class NumberSet:
     :meth:`from_elements` copies a caller's elements first.
     """
 
-    __slots__ = ("limit", "elements", "_words", "_rev", "_classes")
+    __slots__ = ("limit", "elements", "_words", "_classes")
 
     def __init__(self, elements: np.ndarray, limit: int | None):
         if elements.ndim != 1:
@@ -85,20 +85,16 @@ class NumberSet:
         self.limit = int(limit)
         self.elements = elements
         self._words = words
-        self._rev: np.ndarray | None = None
         self._classes = (ParityClass(words[:half]), ParityClass(words[half:]))
 
     def reversed_words(self) -> np.ndarray:
-        """Full-resolution bit-reversal of the set, cached on first use.
+        """Full-resolution bit-reversal of the set, read-only, built on each call.
 
         Bit j of the result is the integer T - 1 - j, T = 64 * ((limit >> 6)
-        + 1), so a reversed window becomes an aligned forward read. A
-        benign race under threads: both sides compute the same array.
+        + 1), so a reversed window becomes an aligned forward read.
         """
-        if self._rev is None:
-            rev = np.zeros((self.limit >> 6) + 1, dtype=np.uint64)
-            self._rev = _set_bits(rev, self.elements, lambda x: (rev.size << 6) - 1 - x)
-        return self._rev
+        rev = np.zeros((self.limit >> 6) + 1, dtype=np.uint64)
+        return _set_bits(rev, self.elements, lambda x: (rev.size << 6) - 1 - x)
 
     def parity_class(self, c: int) -> "ParityClass":
         """The elements 2i + c (c = 0 even, 1 odd), packed at bit i."""
@@ -179,35 +175,9 @@ class ParityClass:
         self.first = (w0 << 6) + (low & -low).bit_length() - 1 if low else 0
         self.last = (w1 << 6) + high.bit_length() - 1 if low else -1
 
-    def reversal_slot(self, s: int) -> np.ndarray:
-        """The class's bit-reversal read from bit key - 64, key = ~s & 63.
 
-        Bit j of the reversal is bit T - 1 - j of `words`, T = 64 *
-        words.size. Word k of the result is bits [64k + key - 64,
-        64k + key - 1] of the reversal, bits outside it reading 0, so the
-        reversed window that pairs index i1 with s - i1 from a word-aligned
-        i1 is an aligned slice; every sum congruent to s mod 64 shares it.
-        Each call builds a new slot, block by block, so the build holds no
-        second full-size array, and nothing is kept after the caller drops it.
-        """
-        key = ~s & 63
-        words = self.words
-        n = words.size
-        out = np.empty(n + 1, dtype=np.uint64)
-        down, up = _U64(key), _U64(64 - key)  # numpy shifts by 64 give 0
-        for k0 in range(0, n + 1, BLOCK_WORDS):
-            k1 = min(k0 + BLOCK_WORDS, n + 1)
-            # reversal words k0 - 1 .. k1 - 1; those outside [0, n) read 0
-            rev = np.zeros(k1 - k0 + 1, dtype=np.uint64)
-            a, b = max(k0 - 1, 0), min(k1, n)
-            _reverse_bits(rev[a - k0 + 1 : b - k0 + 1], words[n - b : n - a][::-1])
-            np.left_shift(rev[1:], up, out=out[k0:k1])
-            out[k0:k1] |= rev[:-1] >> down
-        return out
-
-
-def _reverse_bits(out: np.ndarray, words: np.ndarray) -> None:
-    """Each uint64 word's bits in reverse order, into out."""
+def reverse_bits(out: np.ndarray, words: np.ndarray) -> None:
+    """Each uint64 word's bits in reverse order, into out; out may be words itself."""
     out[:] = words
     out.byteswap(inplace=True)
     swapped = np.empty_like(out)

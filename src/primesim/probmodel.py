@@ -109,13 +109,21 @@ def upper_bound_prob(n: int) -> LogProb:
     return LogProb(_upper_bound_ln(float(n), math.log(n)))
 
 
+def _ln_f(n: float, damping_c: float) -> float:
+    """ln f(n) = -c * n / ln^2 n, for a finite c >= 1 that keeps it finite."""
+    if damping_c < 1.0:
+        raise DomainError("damping coefficient must be >= 1")
+    ln_f = -damping_c * n / math.log(n) ** 2
+    if not math.isfinite(ln_f):
+        raise DomainError(f"damping coefficient {damping_c} must be finite and keep ln f({n}) finite")
+    return ln_f
+
+
 def log_f(n: int, damping_c: float = 1.0) -> LogProb:
     """The damping bound f(n) = exp(-c * n / ln^2 n), in log space."""
     if n < 3:
         raise DomainError("log_f needs n >= 3")
-    if damping_c < 1.0:
-        raise DomainError("damping coefficient must be >= 1")
-    return LogProb(-damping_c * n / math.log(n) ** 2)
+    return LogProb(_ln_f(n, damping_c))
 
 
 def coefficient_c_fraction(p_max: int) -> Fraction:
@@ -158,13 +166,10 @@ def tail_integral(N: int, damping_c: float = 1.0) -> LogProb:
     """
     if N < 100:
         raise DomainError("tail_integral needs N >= 100")
-    if damping_c < 1.0:
-        raise DomainError("damping coefficient must be >= 1")
+    g_n = _ln_f(N, damping_c)
 
     def g(x: float) -> float:
         return -damping_c * x / math.log(x) ** 2
-
-    g_n = g(N)
 
     def h(x: float) -> float:
         return math.exp(g(x) - g_n)
@@ -259,7 +264,7 @@ def model_row(n: int, p_max: int | None = None, damping_c: float | None = None) 
         k=k,
         domain_size=domain,
         damping_c=c,
-        # log_f before the exact sum: it rejects a damping below 1 at once
+        # log_f before the exact sum: it refuses a bad damping coefficient at once
         log10_f=log_f(n, c).log10,
         ln_p_exact=exact_disjoint_prob(domain, k, k).ln_value if k <= domain else math.nan,
         log10_tail=tail_integral(n, c).log10 if n >= 100 else None,

@@ -236,6 +236,18 @@ class TestPairCount:
         slot_bytes = (ns.parity_class(1).words.size + 1) * 8
         assert peak <= slot_bytes + 2**20, (peak, slot_bytes)
 
+    def test_count_reads_only_its_windows(self):
+        # 20,000 pairs indices below 5,000 of the odd class: two short
+        # windows, not a class-sized array (1.25 MB at 2e7)
+        ns = primes_up_to(20_000_000)
+        tracemalloc.start()
+        try:
+            pair_count(ns, 20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
+
     @given(data=st.data(), ns=random_sets())
     @settings(max_examples=80, deadline=None)
     def test_interleaved_residues_replace_the_slot(self, data, ns):

@@ -314,6 +314,13 @@ class TestProb:
         assert out == ""
         assert "damping" in err
 
+    @pytest.mark.parametrize("c", ["nan", "inf", "1e308"])
+    def test_damping_that_is_not_finite_or_overflows_rejected(self, capsys, c):
+        code, out, err = run_cli(capsys, "prob", "--n", "100", "--c", c)
+        assert code == 2
+        assert out == ""
+        assert "damping coefficient" in err and "ln f(100)" in err
+
     @pytest.mark.parametrize("step", ["0", "-5"])
     def test_nonpositive_n_step_rejected(self, capsys, step):
         code, out, err = run_cli(
@@ -383,6 +390,13 @@ class TestTail:
     def test_too_small(self, capsys):
         code, _, err = run_cli(capsys, "tail", "--from", "50")
         assert code == 2
+
+    @pytest.mark.parametrize("c", ["nan", "inf", "1e308"])
+    def test_damping_that_is_not_finite_or_overflows_rejected(self, capsys, c):
+        code, out, err = run_cli(capsys, "tail", "--from", "1000", "--c", c)
+        assert code == 2
+        assert out == ""
+        assert "damping coefficient" in err and "ln f(1000)" in err
 
 
 class TestReportPlotData:

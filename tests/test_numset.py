@@ -20,6 +20,7 @@ from primesim.numset import (
     primes_up_to,
     save_set,
     bits_at,
+    reverse_bits,
 )
 
 from conftest import trial_division_primes
@@ -227,6 +228,21 @@ class TestBitWindows:
             False, True, True, True, False
         ]
 
+    @pytest.mark.parametrize("n_words", [1, 2, 7])
+    def test_reverse_bits_matches_unpacked_bits(self, n_words):
+        rng = np.random.default_rng(n_words)
+        words = rng.integers(0, 2**64, size=n_words, dtype=np.uint64)
+        out = np.empty_like(words)
+        reverse_bits(out, words)
+        # word k's bit b moves to bit 63 - b of word k
+        want = unpacked(words).reshape(n_words, 64)[:, ::-1].ravel()
+        assert np.array_equal(unpacked(out), want)
+        # in place on a reversed view: read through the view, the whole
+        # window reversed bit by bit
+        view = words.copy()[::-1]
+        reverse_bits(view, view)
+        assert np.array_equal(unpacked(np.ascontiguousarray(view)), unpacked(words)[::-1])
+
 
 def unpacked(words: np.ndarray) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), bitorder="little")
@@ -280,36 +296,6 @@ class TestParityClasses:
         perturbed = perturb_primes(10_000, 1)
         (odd,) = perturbed.elements[perturbed.elements % 2 == 1]
         assert (perturbed.parity_class(1).first, perturbed.parity_class(1).last) == (odd >> 1, odd >> 1)
-
-    @pytest.mark.parametrize("block_words", [2, 3, numset.BLOCK_WORDS])
-    def test_reversal_slot_reads_from_bit_key_minus_64(self, monkeypatch, block_words):
-        # 4 class words and a 5-word slot: small blocks put block edges inside it
-        monkeypatch.setattr(numset, "BLOCK_WORDS", block_words)
-        ns = NumberSet.from_elements([1, 2, 63, 64, 65, 127, 200, 255, 301, 509], limit=511)
-        for c in (0, 1):
-            cls = ns.parity_class(c)
-            bits = unpacked(cls.words)
-            total = bits.size
-            padded = np.concatenate([np.zeros(64, np.uint8), bits[::-1], np.zeros(128, np.uint8)])
-            for s in range(64, 192):
-                key = ~s & 63
-                slot = cls.reversal_slot(s)
-                assert slot.size == cls.words.size + 1
-                # bit i of the slot is bit i + key - 64 of the reversal; below 0 reads 0
-                assert np.array_equal(unpacked(slot), padded[key : key + total + 64]), (c, s)
-
-    def test_reversal_slot_build_holds_no_second_copy(self):
-        # a slot costs its own bytes plus block temporaries
-        cls = primes_up_to(20_000_000).parity_class(1)
-        slot_bytes = (cls.words.size + 1) * 8
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            cls.reversal_slot(0)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak <= slot_bytes + 2**20, (peak, slot_bytes)
 
 
 class TestSetFile:
