@@ -237,8 +237,8 @@ class TestPairCount:
         assert peak <= slot_bytes + 2**20, (peak, slot_bytes)
 
     def test_count_reads_only_its_windows(self):
-        # 20,000 pairs indices below 5,000 of the odd class: two short
-        # windows, not a class-sized array (1.25 MB at 2e7)
+        # 20,000 pairs odd-class indices below 10,000: two windows of 79
+        # words, not a class-sized array (1.25 MB at 2e7)
         ns = primes_up_to(20_000_000)
         tracemalloc.start()
         try:
