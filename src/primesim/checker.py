@@ -6,9 +6,9 @@ here reads those classes at half resolution.
 
 The hot path answers, for every even number in a range, whether it splits
 as q1 + q2 with both parts in the set. It is a word-parallel sweep: a
-bitset with one bit per even of a bucket collects, for each element q1 in
+bitset with one bit per even of a chunk collects, for each element q1 in
 turn, a window of class q1 & 1 starting at q1's offset, so one bitset OR
-settles every even of the bucket for that q1. Once the open evens are few,
+settles every even of the chunk for that q1. Once the open evens are few,
 they go to the one candidate scan, which also gives every canonical
 smallest-q1 pair (find_representation is that scan on a single even). It
 tries q1 upward, or q2 downward above limit + 1, a chunk of candidates at
@@ -26,16 +26,14 @@ into one short FFT per column of the class laid out in rows of step / 2
 bits. Its transforms, which numpy runs without holding the interpreter
 lock, are split over two threads when the process may use two CPUs; the
 sweep and the scan stay in the calling thread, where a pool of two threads
-over the buckets lost to one. check_range counts its sampled evens that
-way and recounts a few with pair_count, its oracle.
+over the chunks lost to one. check_range counts its sampled evens that
+way, recounts a few with pair_count, its oracle, and reduces them by bucket.
 Distance sets A_n/B_n and their disjointness are materialized only for
 diagnostics and small-scale equivalence tests.
 """
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
 import os
 import threading
@@ -48,6 +46,8 @@ from .errors import DomainError
 from .numset import BLOCK_WORDS, NumberSet, ParityClass, bits_at, extract_window, reverse_bits
 
 BUCKET_WIDTH = 1_000_000
+CHUNK = 1_000_000  # width of the pieces check_range sweeps and scans, whatever the buckets
+MAX_BUCKETS = 10_000  # report buckets a check may have, as prob caps its rows
 SAMPLE_STRIDE = 1_000
 _SCAN_TESTS = 256  # candidate tests per scan step, shared by the open evens
 # bytes that progression_counts may hold at once; a larger count is refused
@@ -288,10 +288,10 @@ def _sweep_open(setQ: NumberSet, lo: int, hi: int) -> np.ndarray:
     return lo + 2 * np.flatnonzero(bits == 0)
 
 
-def _bucket_failures(setQ: NumberSet, b_lo: int, b_hi: int) -> list[int]:
-    sweep_hi = min(b_hi, (setQ.limit + 1) & ~1)
-    swept = _sweep_open(setQ, b_lo, sweep_hi) if b_lo <= sweep_hi else np.empty(0, np.int64)
-    E = np.concatenate([swept, np.arange(max(b_lo, sweep_hi + 2), b_hi + 2, 2, dtype=np.int64)])
+def _chunk_failures(setQ: NumberSet, c_lo: int, c_hi: int) -> list[int]:
+    sweep_hi = min(c_hi, (setQ.limit + 1) & ~1)
+    swept = _sweep_open(setQ, c_lo, sweep_hi) if c_lo <= sweep_hi else np.empty(0, np.int64)
+    E = np.concatenate([swept, np.arange(max(c_lo, sweep_hi + 2), c_hi + 2, 2, dtype=np.int64)])
     return E[_minimal_q1(setQ, E) == 0].tolist()
 
 
@@ -533,26 +533,23 @@ def check_range(
 ) -> CheckReport:
     """Verify every even number in [lo, hi] and collect failure/stat buckets.
 
-    Buckets are fixed by (lo, hi, bucket_width) and swept one after another
-    in the calling thread. `workers` must be >= 1 and changes nothing: on
-    a 2-vCPU host a pool of two threads over the buckets lost to one on
-    the primes (to 2e7, 0.242 s against 0.194 s) and gained 6% on perturbed
-    seed 1 at 1e7. Only the counts' transforms use a second CPU, inside
-    progression_counts, whatever `workers` says.
-    Within a bucket the word-parallel sweep settles most evens up to
-    limit + 1; the open remainder and any evens above limit + 1 go through
-    the candidate scan, and the evens it cannot split are the failures.
-    Only failures are reported, so the order in which the sweep finds
-    pairs does not matter. Representation counts are sampled
-    1-in-`sample_stride` evens per bucket (a stride of 1 counts every
-    even). Every sampled even lies in lo + step * Z, step =
-    gcd(2 * sample_stride, bucket_width), so one progression_counts pass
-    counts the whole progression, and each bucket's min and mean are read
-    off its own sampled evens' counts. The count runs before the sweep, so
-    a step whose count would not fit COUNT_BUDGET is refused before it,
-    with a hint at a layout that fits. SPOT_CHECKS of the sampled
-    evens, the largest among them, are then recounted by pair_count, and a
-    mismatch raises.
+    The range is swept in chunks of CHUNK, one after another in the calling
+    thread, whatever the buckets. Within a chunk the word-parallel sweep
+    settles most evens up to limit + 1; the open remainder and any evens
+    above limit + 1 go through the candidate scan, and the evens it cannot
+    split are the failures. `workers` must be >= 1 and changes nothing: on
+    a 2-vCPU host a pool of two threads over the chunks lost to one on the
+    primes to 2e7. Only the counts' transforms use a second CPU, inside
+    progression_counts.
+    The buckets of bucket_width, at most MAX_BUCKETS, only summarise
+    representation counts sampled 1-in-`sample_stride` evens per bucket (a
+    stride of 1 counts every even). Every sampled even lies in lo + step * Z,
+    step = gcd(2 * sample_stride, bucket_width), so one progression_counts
+    pass counts them all, and each bucket's min and mean are reductions of
+    that array. The count runs before the sweep, so a step whose count would
+    not fit COUNT_BUDGET is refused before it, with a hint at a layout that
+    fits. SPOT_CHECKS of the sampled evens, the largest among them, are then
+    recounted by pair_count, and a mismatch raises.
     """
     _validate_range(setQ, lo, hi)
     if workers < 1:
@@ -561,6 +558,11 @@ def check_range(
         raise DomainError("bucket_width must be a positive even number")
     if sample_stride < 1:
         raise DomainError("sample_stride must be >= 1")
+    n_buckets = (hi - lo) // bucket_width + 1
+    if n_buckets > MAX_BUCKETS:
+        raise DomainError(
+            f"[{lo}, {hi}] in buckets of {bucket_width} gives {n_buckets} buckets; the cap is {MAX_BUCKETS}"
+        )
     t0 = time.perf_counter()
     # every sampled even is lo + a multiple of step
     step = math.gcd(2 * sample_stride, bucket_width)
@@ -574,16 +576,18 @@ def check_range(
                f"{pair * max(1, round(bucket_width / pair))}, counts at step {pair}" if step < pair
                else "a larger sample_stride counts at a larger step")
         ) from None
-    bounds = [(b, min(hi, b + bucket_width - 2)) for b in range(lo, hi + 1, bucket_width)]
-    failures = [e for b in bounds for e in _bucket_failures(setQ, *b)]
-    # each bucket's sampled evens, as positions in counts
-    stride = 2 * sample_stride // step
-    sampled = [range((b_lo - lo) // step, (b_hi - lo) // step + 1, stride) for b_lo, b_hi in bounds]
-    _spot_check(setQ, lo, step, counts, sampled)
-    buckets = []
-    for (b_lo, b_hi), at in zip(bounds, sampled):
-        c = counts[at.start : at.stop : at.step]
-        buckets.append(BucketStats(lo=b_lo, hi=b_hi, sampled=c.size, min_reps=int(c.min()), mean_reps=float(c.mean())))
+    failures = [e for c in range(lo, hi + 1, CHUNK) for e in _chunk_failures(setQ, c, min(hi, c + CHUNK - 2))]
+    # bucket i samples the positions i * width + stride * m, m < per, of counts, cut at hi
+    width, stride = bucket_width // step, 2 * sample_stride // step
+    per = min(-(-bucket_width // (2 * sample_stride)), counts.size)  # a lone bucket may outsize the range
+    at = (width * np.arange(n_buckets)[:, None] + stride * np.arange(per)).ravel()
+    at = at[at < counts.size]
+    _spot_check(setQ, lo, step, counts, at)
+    starts = np.arange(0, at.size, per)
+    sampled, sizes = counts[at], np.diff(starts, append=at.size)
+    mins, means = np.minimum.reduceat(sampled, starts), np.add.reduceat(sampled, starts) / sizes
+    stats = zip(range(lo, hi + 1, bucket_width), sizes.tolist(), mins.tolist(), means.tolist())
+    buckets = [BucketStats(b, min(hi, b + bucket_width - 2), *s) for b, *s in stats]
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return CheckReport(
         lo=lo,
@@ -595,19 +599,9 @@ def check_range(
     )
 
 
-def _spot_check(setQ: NumberSet, lo: int, step: int, counts: np.ndarray, sampled: list[range]) -> None:
-    """Recount SPOT_CHECKS sampled evens, the first and the largest among them, with pair_count.
-
-    They are spread evenly over the sampled evens, the buckets' `sampled`
-    positions in counts taken in order.
-    """
-    ends = list(itertools.accumulate(map(len, sampled)))
-    picks = set()
-    for i in range(SPOT_CHECKS):
-        k = i * (ends[-1] - 1) // (SPOT_CHECKS - 1)
-        b = bisect.bisect_right(ends, k)
-        picks.add(sampled[b][k - (ends[b - 1] if b else 0)])
-    for at in sorted(picks):
-        even, fast = lo + step * at, int(counts[at])
+def _spot_check(setQ: NumberSet, lo: int, step: int, counts: np.ndarray, at: np.ndarray) -> None:
+    """Recount SPOT_CHECKS sampled evens with pair_count, spread evenly from first to last over their positions."""
+    for k in sorted(set(at[np.arange(SPOT_CHECKS) * (at.size - 1) // (SPOT_CHECKS - 1)].tolist())):
+        even, fast = lo + step * k, int(counts[k])
         if pair_count(setQ, even) != fast:
             raise ArithmeticError(f"the FFT count of {even} is {fast}, pair_count gives {pair_count(setQ, even)}")

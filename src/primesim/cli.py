@@ -276,7 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slow", dest="slow_mode", action="store_true",
                    help="count representations for every even; this counts at step 2, "
                         "which is over the 1 GiB count budget past a limit of about 1.6e7 (exit 2)")
-    p.add_argument("--bucket-width", type=int, default=BUCKET_WIDTH)
+    p.add_argument("--bucket-width", type=int, default=BUCKET_WIDTH,
+                   help="width of the report's buckets, a reporting choice that leaves the check's work "
+                        "alone; at most 10,000 buckets (exit 2 past that)")
     p.add_argument("--sample-stride", type=int, default=SAMPLE_STRIDE, metavar="N",
                    help="count representations of every N-th even of a bucket; counts run at step "
                         "gcd(2N, bucket width), and a step whose count needs over 1 GiB is refused "

@@ -113,7 +113,10 @@ def _ln_f(n: float, damping_c: float) -> float:
     """ln f(n) = -c * n / ln^2 n, for a finite c >= 1 that keeps it finite."""
     if damping_c < 1.0:
         raise DomainError("damping coefficient must be >= 1")
-    ln_f = -damping_c * n / math.log(n) ** 2
+    try:
+        ln_f = -damping_c * n / math.log(n) ** 2
+    except OverflowError:  # n past the largest float
+        raise DomainError(f"n = {n} is too large for ln f(n) = -c * n / ln^2 n in floats") from None
     if not math.isfinite(ln_f):
         raise DomainError(f"damping coefficient {damping_c} must be finite and keep ln f({n}) finite")
     return ln_f

@@ -2,7 +2,7 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the PASS/FAIL lines.
 The desk-scale classical verification (criterion 4, range up to 1e8,
-~3 minutes) runs by default; set PRIMESIM_SKIP_DESK=1 to skip just that
+about 2 s on a 2-vCPU host) runs by default; set PRIMESIM_SKIP_DESK=1 to skip just that
 case while keeping the CI-scale run.
 """
 

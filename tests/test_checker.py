@@ -224,8 +224,8 @@ class TestPairCount:
             assert pair_count(ns, even) == brute_force_count(members, even), even
 
     def test_first_count_holds_one_slot(self):
-        # a fresh set's first count builds the odd class's reversal slot
-        # and no other full-size array
+        # a count near the limit reads two windows of at most half a parity
+        # class each, so together they hold no more than one class's words
         ns = primes_up_to(20_000_000)
         tracemalloc.start()
         try:
@@ -252,8 +252,8 @@ class TestPairCount:
     @settings(max_examples=80, deadline=None)
     def test_interleaved_residues_replace_the_slot(self, data, ns):
         # one even per residue of even/2 mod 64 in a drawn order, twice
-        # over, so each call replaces the reversal slot of each dense
-        # parity class that the last call built
+        # over, so consecutive calls read windows at every bit offset of
+        # each dense parity class, with no state carried between calls
         members = set(ns.elements.tolist())
         evens = np.arange(2, 2 * ns.limit + 1, 2)
         for r in data.draw(st.permutations(range(64))) * 2:
@@ -265,9 +265,9 @@ class TestPairCount:
     @given(ns=random_sets())
     @settings(max_examples=80, deadline=None)
     def test_evens_near_twice_the_limit(self, ns):
-        # the reversed window of an even near 2 * limit starts up to 63
-        # bits below bit 0 of a class's reversal; 65 evens cover every
-        # residue of even/2 mod 64
+        # the partners' window of an even near 2 * limit ends in the
+        # class's last word, and its whole words start up to 63 bits below
+        # the first partner; 65 evens cover every residue of even/2 mod 64
         members = set(ns.elements.tolist())
         for even in range(2 * ns.limit, max(2 * ns.limit - 130, 0), -2):
             assert pair_count(ns, even) == brute_force_count(members, even), even
@@ -303,13 +303,16 @@ class TestCheckRange:
     @given(data=st.data(), ns=random_sets())
     @settings(max_examples=80, deadline=None)
     def test_failures_match_brute_force_on_random_sets(self, data, ns):
-        # ranges reach past limit + 1, small lo makes the first bucket's
-        # windows start below bit 0, and bucket widths are random
+        # ranges reach past limit + 1, small lo makes the first chunk's
+        # windows start below bit 0, and bucket and chunk widths are random,
+        # so sweeps and scans start and stop at chunk edges inside the range
         lo = 2 * data.draw(st.integers(min_value=2, max_value=ns.limit))
         hi = 2 * data.draw(st.integers(min_value=lo // 2, max_value=ns.limit))
         width = 2 * data.draw(st.integers(min_value=1, max_value=hi // 2))
         members = set(ns.elements.tolist())
-        report = check_range(ns, lo, hi, bucket_width=width)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(checker, "CHUNK", 2 * data.draw(st.integers(min_value=1, max_value=hi // 2)))
+            report = check_range(ns, lo, hi, bucket_width=width)
         oracle = [
             e for e in range(lo, hi + 1, 2) if brute_force_representation(members, e) is None
         ]
@@ -358,6 +361,66 @@ class TestCheckRange:
         reference = check_range(ns, 4, 2000, bucket_width=2000).failures
         for width in (64, 500, 1024):
             assert check_range(ns, 4, 2000, bucket_width=width).failures == reference
+
+    @pytest.mark.parametrize("width", [2_000, 1_000_000])
+    def test_sweeps_once_per_chunk_whatever_the_buckets(self, monkeypatch, width):
+        # the range crosses limit + 1, so its last chunk is scanned alone
+        ns = primes_up_to(2_100_000)
+        lo, hi = 4, 2_200_000
+        sweeps = []
+        sweep = checker._sweep_open
+
+        def spy(setQ, s_lo, s_hi):
+            sweeps.append((s_lo, s_hi))
+            return sweep(setQ, s_lo, s_hi)
+
+        monkeypatch.setattr(checker, "_sweep_open", spy)
+        report = check_range(ns, lo, hi, bucket_width=width)
+        assert len(report.buckets) == (hi - lo) // width + 1
+        assert [s_lo for s_lo, _ in sweeps] == list(range(lo, ns.limit + 2, checker.CHUNK)) == [4, 1_000_004, 2_000_004]
+        assert sweeps[-1][1] == ns.limit + 1 - (ns.limit + 1) % 2
+
+    @given(data=st.data(), ns=random_sets())
+    @settings(max_examples=80, deadline=None)
+    def test_bucket_stats_match_brute_force(self, data, ns):
+        # strides of two or more, and bucket widths that are often not a
+        # multiple of 2 * sample_stride, so the count step is their gcd
+        lo = 2 * data.draw(st.integers(min_value=2, max_value=ns.limit))
+        hi = 2 * data.draw(st.integers(min_value=lo // 2, max_value=ns.limit))
+        width = 2 * data.draw(st.integers(min_value=1, max_value=hi // 2))
+        stride = data.draw(st.integers(min_value=2, max_value=max(2, hi // 4)))
+        report = check_range(ns, lo, hi, bucket_width=width, sample_stride=stride)
+        assert [(b.lo, b.hi) for b in report.buckets] == [
+            (b, min(hi, b + width - 2)) for b in range(lo, hi + 1, width)
+        ]
+        members = set(ns.elements.tolist())
+        for bucket in report.buckets:
+            counts = [brute_force_count(members, e) for e in range(bucket.lo, bucket.hi + 1, 2 * stride)]
+            assert bucket.sampled == len(counts)
+            assert bucket.min_reps == min(counts)
+            assert bucket.mean_reps == float(np.mean(np.array(counts, dtype=np.int64)))
+
+    def test_bucket_count_capped_before_any_work(self, monkeypatch, primes_100k):
+        def refused(*args):
+            raise AssertionError("counted or swept past the bucket cap")
+
+        lo = 4
+        hi = lo + 2 * checker.MAX_BUCKETS
+        fine = check_range(primes_100k, lo, hi - 2, bucket_width=2, sample_stride=1)
+        assert len(fine.buckets) == checker.MAX_BUCKETS
+        assert all(b.sampled == 1 and b.min_reps == b.mean_reps for b in fine.buckets)
+        monkeypatch.setattr(checker, "progression_counts", refused)
+        monkeypatch.setattr(checker, "_sweep_open", refused)
+        with pytest.raises(DomainError, match=f"{checker.MAX_BUCKETS + 1} buckets; the cap is {checker.MAX_BUCKETS}"):
+            check_range(primes_100k, lo, hi, bucket_width=2, sample_stride=1)
+        with pytest.raises(DomainError, match="the cap is"):
+            check_range(primes_100k, 4, 100_000, bucket_width=2)
+
+    def test_one_bucket_wider_than_the_range(self, primes_10k):
+        # the bucket's sampled positions stop at hi, whatever its width
+        wide = check_range(primes_10k, 4, 10_000, bucket_width=10**15, sample_stride=3)
+        assert wide.buckets == check_range(primes_10k, 4, 10_000, bucket_width=12_000, sample_stride=3).buckets
+        assert (wide.buckets[0].lo, wide.buckets[0].hi, wide.buckets[0].sampled) == (4, 10_000, 1_667)
 
     def test_slow_mode_counts_every_even(self, primes_10k):
         report = check_range(primes_10k, 4, 1000, sample_stride=1, bucket_width=500)

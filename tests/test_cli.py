@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -183,6 +184,17 @@ class TestCheck:
         )
         assert code == 2 and out == ""
         assert err.startswith("primesim check: counting at step 2") and "1024 MiB budget" in err
+
+    def test_bucket_count_over_the_cap_is_an_input_error(self, capsys):
+        # 499,999 buckets of one even each: refused before any count or sweep
+        t0 = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "check", "--set", "primes", "--limit", "1000000", "--lo", "4", "--hi", "1000000",
+            "--bucket-width", "2", "--sample-stride", "1",
+        )
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("primesim check: ") and "499999 buckets; the cap is 10000" in err
 
     def test_element_beyond_int64_is_input_error(self, capsys, tmp_path):
         set_path = tmp_path / "big.txt"
@@ -397,6 +409,12 @@ class TestTail:
         assert code == 2
         assert out == ""
         assert "damping coefficient" in err and "ln f(1000)" in err
+
+    def test_from_past_the_largest_float_rejected(self, capsys):
+        n = "1" + "0" * 400
+        code, out, err = run_cli(capsys, "tail", "--from", n)
+        assert code == 2 and out == ""
+        assert err.startswith(f"primesim tail: n = {n} is too large")
 
 
 class TestReportPlotData:
