@@ -522,6 +522,21 @@ def _columns(words: np.ndarray, h: int, a_lo: int, rows: int, j: int, b: int) ->
     return out
 
 
+def validate_layout(lo: int, hi: int, *, workers: int, bucket_width: int, sample_stride: int) -> None:
+    """Refuse the check_range arguments that are wrong for any set, so a caller may do so before building one."""
+    if workers < 1:
+        raise DomainError("workers must be >= 1")
+    if bucket_width < 2 or bucket_width % 2:
+        raise DomainError("bucket_width must be a positive even number")
+    if sample_stride < 1:
+        raise DomainError("sample_stride must be >= 1")
+    n_buckets = (hi - lo) // bucket_width + 1
+    if n_buckets > MAX_BUCKETS:
+        raise DomainError(
+            f"[{lo}, {hi}] in buckets of {bucket_width} gives {n_buckets} buckets; the cap is {MAX_BUCKETS}"
+        )
+
+
 def check_range(
     setQ: NumberSet,
     lo: int,
@@ -551,21 +566,12 @@ def check_range(
     fits. SPOT_CHECKS of the sampled evens, the largest among them, are then
     recounted by pair_count, and a mismatch raises.
     """
+    validate_layout(lo, hi, workers=workers, bucket_width=bucket_width, sample_stride=sample_stride)
     _validate_range(setQ, lo, hi)
-    if workers < 1:
-        raise DomainError("workers must be >= 1")
-    if bucket_width < 2 or bucket_width % 2:
-        raise DomainError("bucket_width must be a positive even number")
-    if sample_stride < 1:
-        raise DomainError("sample_stride must be >= 1")
-    n_buckets = (hi - lo) // bucket_width + 1
-    if n_buckets > MAX_BUCKETS:
-        raise DomainError(
-            f"[{lo}, {hi}] in buckets of {bucket_width} gives {n_buckets} buckets; the cap is {MAX_BUCKETS}"
-        )
     t0 = time.perf_counter()
-    # every sampled even is lo + a multiple of step
-    step = math.gcd(2 * sample_stride, bucket_width)
+    # every sampled even is lo + a multiple of step; a step past hi - lo samples
+    # lo alone, which any step past lo counts the same way, so hi + 2 caps it in int64
+    step = min(math.gcd(2 * sample_stride, bucket_width), hi + 2)
     try:
         counts = progression_counts(setQ, lo, step, (hi - lo) // step + 1)
     except DomainError as err:  # over COUNT_BUDGET: the arguments are valid
@@ -577,16 +583,18 @@ def check_range(
                else "a larger sample_stride counts at a larger step")
         ) from None
     failures = [e for c in range(lo, hi + 1, CHUNK) for e in _chunk_failures(setQ, c, min(hi, c + CHUNK - 2))]
-    # bucket i samples the positions i * width + stride * m, m < per, of counts, cut at hi
-    width, stride = bucket_width // step, 2 * sample_stride // step
-    per = min(-(-bucket_width // (2 * sample_stride)), counts.size)  # a lone bucket may outsize the range
-    at = (width * np.arange(n_buckets)[:, None] + stride * np.arange(per)).ravel()
+    # bucket i samples the positions i * width + stride * m, m < per, of counts, cut at
+    # hi; a lone bucket may outsize the range, and clamping to counts.size keeps int64
+    width, stride = min(bucket_width // step, counts.size), min(2 * sample_stride // step, counts.size)
+    per = min(-(-bucket_width // (2 * sample_stride)), counts.size)
+    bucket_lo = range(lo, hi + 1, bucket_width)
+    at = (width * np.arange(len(bucket_lo))[:, None] + stride * np.arange(per)).ravel()
     at = at[at < counts.size]
     _spot_check(setQ, lo, step, counts, at)
     starts = np.arange(0, at.size, per)
     sampled, sizes = counts[at], np.diff(starts, append=at.size)
     mins, means = np.minimum.reduceat(sampled, starts), np.add.reduceat(sampled, starts) / sizes
-    stats = zip(range(lo, hi + 1, bucket_width), sizes.tolist(), mins.tolist(), means.tolist())
+    stats = zip(bucket_lo, sizes.tolist(), mins.tolist(), means.tolist())
     buckets = [BucketStats(b, min(hi, b + bucket_width - 2), *s) for b, *s in stats]
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return CheckReport(

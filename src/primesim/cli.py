@@ -15,7 +15,7 @@ import sys
 from dataclasses import astuple
 
 from . import __version__
-from .checker import BUCKET_WIDTH, SAMPLE_STRIDE, a_set, b_set, check_range, disjoint, find_representation
+from .checker import BUCKET_WIDTH, SAMPLE_STRIDE, a_set, b_set, check_range, disjoint, find_representation, validate_layout
 from .errors import DomainError
 from .numset import primes_up_to, save_set
 from .probmodel import coefficient_c, model_table, tail_integral
@@ -39,7 +39,7 @@ MODEL_COLUMNS = ("n", "k", "domain_size", "damping_c", "ln_P_exact", "log10_f", 
 _HEADER_KEYS = {
     "sieve": ("limit",),
     "gen-set": (),
-    "check": ("lo", "hi", "fmt", "slow_mode", "allow_below", "bucket_width", "sample_stride"),
+    "check": ("lo", "hi", "fmt", "allow_below", "bucket_width", "sample_stride"),
     "anb": ("n",),
     "prob": ("n", "n_max", "n_step", "p_max", "c_from_pmax", "damping_c", "fmt"),
     "tail": ("tail_from", "damping_c"),
@@ -130,15 +130,9 @@ def _run_gen_set(args: argparse.Namespace) -> int:
 
 
 def _run_check(args: argparse.Namespace) -> int:
-    ns = build(args.spec)
-    report = check_range(
-        ns,
-        args.lo,
-        args.hi,
-        workers=args.workers,
-        bucket_width=args.bucket_width,
-        sample_stride=1 if args.slow_mode else args.sample_stride,
-    )
+    layout = {"workers": args.workers, "bucket_width": args.bucket_width, "sample_stride": args.sample_stride}
+    validate_layout(args.lo, args.hi, **layout)  # before the set is built
+    report = check_range(build(args.spec), args.lo, args.hi, **layout)
     rows = [astuple(b) for b in report.buckets]
     if args.fmt == "csv":
         _emit(args, table_csv(_header_lines(args), BUCKET_COLUMNS, rows))
@@ -219,8 +213,6 @@ def _run_tail(args: argparse.Namespace) -> int:
 
 
 def _run_report(args: argparse.Namespace) -> int:
-    if not args.plot_data:
-        raise DomainError("report currently supports --plot-data only")
     series = plot_series_from_report(args.input_path)
     _emit(args, table_csv([], ("series", "x", "y"), series))
     return 0
@@ -273,16 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-below", type=int, default=42,
                    help="failures below this even number do not affect exit status")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--slow", dest="slow_mode", action="store_true",
-                   help="count representations for every even; this counts at step 2, "
-                        "which is over the 1 GiB count budget past a limit of about 1.6e7 (exit 2)")
     p.add_argument("--bucket-width", type=int, default=BUCKET_WIDTH,
                    help="width of the report's buckets, a reporting choice that leaves the check's work "
                         "alone; at most 10,000 buckets (exit 2 past that)")
     p.add_argument("--sample-stride", type=int, default=SAMPLE_STRIDE, metavar="N",
-                   help="count representations of every N-th even of a bucket; counts run at step "
-                        "gcd(2N, bucket width), and a step whose count needs over 1 GiB is refused "
-                        "(exit 2), so keep the bucket width a multiple of 2N")
+                   help="count representations of every N-th even of a bucket, every even for 1; "
+                        "counts run at step gcd(2N, bucket width), and a step whose count needs over "
+                        "1 GiB is refused (exit 2), as 1 is past a limit of about 1.6e7, so keep the "
+                        "bucket width a multiple of 2N")
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     p.add_argument("--out", help="report destination (default stdout)")
 
@@ -311,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("report", help="re-emit a report as plot data")
     p.add_argument("--in", dest="input_path", required=True)
-    p.add_argument("--plot-data", action="store_true")
     p.add_argument("--out")
 
     return parser

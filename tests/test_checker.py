@@ -422,7 +422,25 @@ class TestCheckRange:
         assert wide.buckets == check_range(primes_10k, 4, 10_000, bucket_width=12_000, sample_stride=3).buckets
         assert (wide.buckets[0].lo, wide.buckets[0].hi, wide.buckets[0].sampled) == (4, 10_000, 1_667)
 
-    def test_slow_mode_counts_every_even(self, primes_10k):
+    @pytest.mark.parametrize(
+        "layout",
+        [{"bucket_width": 10**30}, {"sample_stride": 10**30}, {"bucket_width": 2**64, "sample_stride": 2**63},
+         {"bucket_width": 2 * 10**30, "sample_stride": 10**30}],
+        ids=["width", "stride", "both-2^64", "both-10^30"],
+    )
+    def test_layout_past_int64_is_a_layout_past_the_range(self, primes_10k, layout):
+        # positions past the count array are cut, so neither factor needs to fit int64
+        report = check_range(primes_10k, 4, 1000, **layout)
+        assert report.buckets == check_range(primes_10k, 4, 1000, bucket_width=2000).buckets
+        assert [(b.lo, b.hi, b.sampled) for b in report.buckets] == [(4, 1000, 1)]
+
+    def test_stride_past_int64_over_many_buckets(self, primes_10k):
+        # each bucket samples its first even alone, as at any stride past the bucket width
+        huge = check_range(primes_10k, 4, 1000, bucket_width=100, sample_stride=10**30)
+        assert huge.buckets == check_range(primes_10k, 4, 1000, bucket_width=100, sample_stride=50).buckets
+        assert [b.sampled for b in huge.buckets] == [1] * 10
+
+    def test_stride_one_counts_every_even(self, primes_10k):
         report = check_range(primes_10k, 4, 1000, sample_stride=1, bucket_width=500)
         members = set(primes_10k.elements.tolist())
         for bucket in report.buckets:
@@ -436,7 +454,7 @@ class TestCheckRange:
 
     @given(data=st.data(), ns=random_sets())
     @settings(max_examples=60, deadline=None)
-    def test_slow_mode_all_residues_any_workers(self, data, ns):
+    def test_stride_one_all_residues_any_workers(self, data, ns):
         # a stride of 1 counts every even, so each residue in the range gets its slot
         lo = 2 * data.draw(st.integers(min_value=2, max_value=ns.limit))
         hi = 2 * data.draw(st.integers(min_value=lo // 2, max_value=ns.limit))
@@ -674,9 +692,9 @@ class TestProgressionCounts:
         assert COUNT_BUDGET == 2**30
 
     def test_one_block_passes_count_one_thread(self):
-        # step 2 (check --slow) is one column, a single block that no worker
-        # shares: its estimate holds one thread's buffers, about 625 MiB at
-        # 10^7, within the budget (two threads' would be about 1170 MiB)
+        # step 2 (check --sample-stride 1) is one column, a single block that
+        # no worker shares: its estimate holds one thread's buffers, about 625
+        # MiB at 10^7, within the budget (two threads' would be about 1170 MiB)
         ns = primes_up_to(10_000_000)
         assert checker._count_bytes(ns, 4, 2, (10_000_000 - 4) // 2 + 1) < 700 * 2**20 < COUNT_BUDGET
 

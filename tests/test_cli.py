@@ -178,9 +178,10 @@ class TestCheck:
         assert "even" in err
 
     def test_count_over_budget_is_an_input_error(self, capsys):
-        # --slow counts at step 2, which at 3e7 needs more than the 1 GiB budget
+        # --sample-stride 1 counts at step 2, which at 3e7 needs more than the 1 GiB budget
         code, out, err = run_cli(
-            capsys, "check", "--set", "primes", "--limit", "30000000", "--lo", "4", "--hi", "30000000", "--slow"
+            capsys, "check", "--set", "primes", "--limit", "30000000", "--lo", "4", "--hi", "30000000",
+            "--sample-stride", "1",
         )
         assert code == 2 and out == ""
         assert err.startswith("primesim check: counting at step 2") and "1024 MiB budget" in err
@@ -195,6 +196,39 @@ class TestCheck:
         assert time.perf_counter() - t0 < 1.0
         assert code == 2 and out == ""
         assert err.startswith("primesim check: ") and "499999 buckets; the cap is 10000" in err
+
+    @pytest.mark.parametrize(
+        "layout",
+        [["--bucket-width", str(10**30)], ["--sample-stride", str(10**30)],
+         ["--bucket-width", str(2**64), "--sample-stride", str(2**63)],
+         ["--bucket-width", str(2 * 10**30), "--sample-stride", str(10**30)]],
+        ids=["width", "stride", "both-2^64", "both-10^30"],
+    )
+    def test_layout_past_int64_is_a_layout_past_the_range(self, capsys, layout):
+        argv = ["check", "--set", "primes", "--limit", "1000", "--lo", "4", "--hi", "1000"]
+        code, out, err = run_cli(capsys, *argv, *layout)
+        assert code == 0 and err == ""
+        _, past, _ = run_cli(capsys, *argv, "--bucket-width", "2000")
+        assert json.loads(out)["buckets"] == json.loads(past)["buckets"]
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--bucket-width", "2"], "99999999 buckets; the cap is 10000"),
+         (["--bucket-width", "3"], "bucket_width must be a positive even number"),
+         (["--sample-stride", "0"], "sample_stride must be >= 1"),
+         (["--workers", "0"], "workers must be >= 1")],
+        ids=["cap", "odd-width", "stride", "workers"],
+    )
+    def test_layout_refused_before_the_set_is_built(self, capsys, monkeypatch, flags, message):
+        def refused(spec):
+            raise AssertionError("built the set for a layout that no set can take")
+
+        monkeypatch.setattr(cli, "build", refused)
+        code, out, err = run_cli(
+            capsys, "check", "--set", "primes", "--limit", "200000000", "--lo", "4", "--hi", "200000000", *flags
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("primesim check: ") and message in err
 
     def test_element_beyond_int64_is_input_error(self, capsys, tmp_path):
         set_path = tmp_path / "big.txt"
@@ -427,7 +461,7 @@ class TestReportPlotData:
         )
         out_csv = tmp_path / "plot.csv"
         code, _, _ = run_cli(
-            capsys, "report", "--in", str(table), "--plot-data", "--out", str(out_csv)
+            capsys, "report", "--in", str(table), "--out", str(out_csv)
         )
         assert code == 0
         with open(out_csv) as fh:
@@ -445,7 +479,7 @@ class TestReportPlotData:
         )
         plot = tmp_path / "plot.csv"
         code, _, _ = run_cli(
-            capsys, "report", "--in", str(report), "--plot-data", "--out", str(plot)
+            capsys, "report", "--in", str(report), "--out", str(plot)
         )
         assert code == 0
         with open(plot) as fh:
@@ -462,7 +496,7 @@ class TestReportPlotData:
         )
         plot = tmp_path / "plot.csv"
         code, _, _ = run_cli(
-            capsys, "report", "--in", str(dev), "--plot-data", "--out", str(plot)
+            capsys, "report", "--in", str(dev), "--out", str(plot)
         )
         assert code == 0
         with open(plot) as fh:
@@ -473,7 +507,7 @@ class TestReportPlotData:
     def test_json_that_is_not_a_report(self, capsys, tmp_path, text):
         path = tmp_path / "odd.json"
         path.write_text(text)
-        code, out, err = run_cli(capsys, "report", "--in", str(path), "--plot-data")
+        code, out, err = run_cli(capsys, "report", "--in", str(path))
         assert code == 2
         assert out == "" and "unrecognized report shape" in err
 
@@ -491,6 +525,31 @@ class TestUsageErrors:
             main(["check", "--nonsense"])
         assert excinfo.value.code == 2
         assert "--lo" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", "--set", "primes", "--limit", "100", "--lo", "4", "--hi", "100", "--slow"],
+         ["report", "--in", "r.json", "--plot-data"]],
+        ids=["check-slow", "report-plot-data"],
+    )
+    def test_flags_without_a_choice_are_gone(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {argv[-1]}" in capsys.readouterr().err
+
+    def test_every_parsed_argument_reaches_the_header(self):
+        # a flag that may change a result must be echoed in the report header:
+        # as a _HEADER_KEYS key, or as a set flag, which the header's spec holds
+        set_flags = {"set", "limit", "seed", "shift", "path"}
+        not_the_experiment = {"command", "out", "workers", "deviation_report", "input_path"}
+        subcommands = cli.build_parser()._subparsers._group_actions[0].choices
+        assert set(subcommands) == set(cli._HEADER_KEYS)
+        for name, sub in subcommands.items():
+            dests = {action.dest for action in sub._actions if action.dest != "help"}
+            keys = set(cli._HEADER_KEYS[name])
+            assert dests - keys - set_flags - not_the_experiment == set(), name
+            assert keys <= dests, name
 
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -49,7 +49,7 @@ CASES: dict[str, list] = {
     ],
     "check-slow": [
         ["check", "--set", "primes", "--limit", "2000", "--lo", "4", "--hi", "2000",
-         "--slow", "--bucket-width", "500", "--out", "r.json"],
+         "--sample-stride", "1", "--bucket-width", "500", "--out", "r.json"],
     ],
     "check-perturbed-kind": [
         ["check", "--set", "perturbed", "--limit", "10000", "--seed", "3",
@@ -102,20 +102,20 @@ CASES: dict[str, list] = {
         ("write", "tiny.txt", TINY_SET),
         ["check", "--set", "file", "--path", "tiny.txt", "--lo", "4", "--hi", "120",
          "--out", "check.json"],
-        ["report", "--in", "check.json", "--plot-data"],
+        ["report", "--in", "check.json"],
     ],
     "report-deviation": [
         ["gen-set", "--kind", "perturbed", "--limit", "300", "--seed", "3",
          "--out", "q.txt", "--deviation-report", "dev.json"],
-        ["report", "--in", "dev.json", "--plot-data", "--out", "plot.csv"],
+        ["report", "--in", "dev.json", "--out", "plot.csv"],
     ],
     "report-model": [
         ["prob", "--n", "1000", "--n-max", "5000", "--n-step", "500", "--pmax", "2",
          "--out", "model.json"],
-        ["report", "--in", "model.json", "--plot-data"],
+        ["report", "--in", "model.json"],
         ["prob", "--n", "1000", "--n-max", "5000", "--n-step", "1000", "--format", "csv",
          "--out", "model.csv"],
-        ["report", "--in", "model.csv", "--plot-data"],
+        ["report", "--in", "model.csv"],
     ],
 }
 
