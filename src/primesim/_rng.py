@@ -19,10 +19,14 @@ def mix64(seed: int, counters: np.ndarray) -> np.ndarray:
     offset = ((seed + 1) * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
     z = counters.astype(np.uint64, copy=True)
     z += np.uint64(offset)
-    z ^= z >> np.uint64(30)
+    tmp = np.empty_like(z)  # one scratch buffer serves the three xor-shifts
+    np.right_shift(z, np.uint64(30), out=tmp)
+    z ^= tmp
     z *= _MIX1
-    z ^= z >> np.uint64(27)
+    np.right_shift(z, np.uint64(27), out=tmp)
+    z ^= tmp
     z *= _MIX2
-    z ^= z >> np.uint64(31)
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
     return z
 

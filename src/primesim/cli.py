@@ -131,7 +131,12 @@ def _run_gen_set(args: argparse.Namespace) -> int:
 
 def _run_check(args: argparse.Namespace) -> int:
     layout = {"workers": args.workers, "bucket_width": args.bucket_width, "sample_stride": args.sample_stride}
-    validate_layout(args.lo, args.hi, **layout)  # before the set is built
+    try:
+        validate_layout(args.lo, args.hi, **layout)  # before the set is built
+    except DomainError as exc:
+        # name the flag the user typed, not the check_range keyword
+        key, _, rest = str(exc).partition(" ")
+        raise DomainError(f"--{key.replace('_', '-')} {rest}" if key in layout else str(exc)) from None
     report = check_range(build(args.spec), args.lo, args.hi, **layout)
     rows = [astuple(b) for b in report.buckets]
     if args.fmt == "csv":

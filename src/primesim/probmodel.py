@@ -9,6 +9,7 @@ ratios above; the exact rational forms stay available for oracle tests.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -196,6 +197,23 @@ def tail_integral(N: int, damping_c: float = 1.0) -> LogProb:
     return LogProb(g_n + math.log(total))
 
 
+@functools.lru_cache(maxsize=8)
+def _mc_at_least(m: int, k1: int, trials: int, seed: int) -> np.ndarray:
+    """Read-only array whose entry j counts the trials in which at least j
+    slots outside A hash below every slot of A, for j in 0..m - k1."""
+    counts = np.zeros(m - k1 + 1, dtype=np.int64)
+    chunk = max(1, MC_CHUNK_SLOTS // m)
+    slots = np.arange(m, dtype=np.uint64)
+    for t0 in range(0, trials, chunk):
+        base = np.arange(t0, min(trials, t0 + chunk), dtype=np.uint64) << np.uint64(16)
+        h = mix64(seed, (base[:, None] | slots[None, :]).ravel()).reshape(-1, m)
+        below = h[:, k1:] < h[:, :k1].min(axis=1, keepdims=True)
+        counts += np.bincount(below.sum(axis=1), minlength=m - k1 + 1)
+    at_least = np.cumsum(counts[::-1])[::-1]
+    at_least.flags.writeable = False
+    return at_least
+
+
 def monte_carlo_disjoint(
     m: int, k1: int, k2: int, trials: int, seed: int
 ) -> MonteCarloResult:
@@ -205,7 +223,9 @@ def monte_carlo_disjoint(
     smallest of m keyed hashes, a uniform k2-subset. B misses A exactly
     when at least k2 slots outside A hash below every slot of A. Each hash
     is a pure function of (seed, trial, slot), so any chunking or parallel
-    split reproduces the same draws.
+    split reproduces the same draws. The draws do not depend on k2: one
+    hashing pass per (m, k1, trials, seed) counts the trials for every k2,
+    and the last few passes are cached, so a row of k2 values costs one.
     """
     if not (0 <= k1 <= m and 0 <= k2 <= m):
         raise DomainError(f"subset sizes ({k1}, {k2}) must lie in [0, {m}]")
@@ -215,14 +235,8 @@ def monte_carlo_disjoint(
         raise DomainError("trials must be >= 1")
     if k1 == 0 or k2 == 0:
         return MonteCarloResult(frequency=1.0, std_error=0.0, trials=trials)
-    hits = 0
-    chunk = max(1, MC_CHUNK_SLOTS // m)
-    slots = np.arange(m, dtype=np.uint64)
-    for t0 in range(0, trials, chunk):
-        base = np.arange(t0, min(trials, t0 + chunk), dtype=np.uint64) << np.uint64(16)
-        h = mix64(seed, (base[:, None] | slots[None, :]).ravel()).reshape(-1, m)
-        below = h[:, k1:] < h[:, :k1].min(axis=1, keepdims=True)
-        hits += int((below.sum(axis=1) >= k2).sum())
+    at_least = _mc_at_least(m, k1, trials, seed)
+    hits = int(at_least[k2]) if k2 < len(at_least) else 0
     freq = hits / trials
     return MonteCarloResult(
         frequency=freq,

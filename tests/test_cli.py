@@ -214,9 +214,9 @@ class TestCheck:
     @pytest.mark.parametrize(
         "flags, message",
         [(["--bucket-width", "2"], "99999999 buckets; the cap is 10000"),
-         (["--bucket-width", "3"], "bucket_width must be a positive even number"),
-         (["--sample-stride", "0"], "sample_stride must be >= 1"),
-         (["--workers", "0"], "workers must be >= 1")],
+         (["--bucket-width", "3"], "--bucket-width must be a positive even number"),
+         (["--sample-stride", "0"], "--sample-stride must be >= 1"),
+         (["--workers", "0"], "--workers must be >= 1")],
         ids=["cap", "odd-width", "stride", "workers"],
     )
     def test_layout_refused_before_the_set_is_built(self, capsys, monkeypatch, flags, message):

@@ -272,6 +272,7 @@ class TestMonteCarlo:
         # one trial per chunk, then 7 per chunk, which does not divide 20,000
         for slots in (1, 7 * 20):
             monkeypatch.setattr(probmodel, "MC_CHUNK_SLOTS", slots)
+            probmodel._mc_at_least.cache_clear()  # recompute at this chunk size
             assert monte_carlo_disjoint(20, 4, 6, 20_000, seed=9) == a
 
     @pytest.mark.parametrize("m,k1,k2", [(4, 2, 3), (10, 10, 1), (10, 3, 8), (7, 7, 7), (50, 10, 41)])
@@ -286,6 +287,34 @@ class TestMonteCarlo:
         result = monte_carlo_disjoint(m, k1, k2, trials, seed=11)
         sigma = math.sqrt(exact * (1 - exact) / trials)
         assert abs(result.frequency - exact) <= 4 * sigma
+
+    @pytest.mark.parametrize("m,k1", [(20, 4), (50, 10), (4, 3)])
+    def test_shared_pass_matches_fresh_passes(self, m, k1):
+        probmodel._mc_at_least.cache_clear()
+        shared = [monte_carlo_disjoint(m, k1, k2, 3000, seed=17) for k2 in range(m - k1 + 2)]
+        assert probmodel._mc_at_least.cache_info().misses == 1
+        for k2, result in enumerate(shared):
+            probmodel._mc_at_least.cache_clear()
+            assert monte_carlo_disjoint(m, k1, k2, 3000, seed=17) == result
+
+    def test_trials_and_seed_key_the_cache(self):
+        probmodel._mc_at_least.cache_clear()
+        base = monte_carlo_disjoint(20, 4, 3, 3000, seed=17)
+        assert monte_carlo_disjoint(20, 4, 3, 3001, seed=17).frequency != base.frequency
+        assert monte_carlo_disjoint(20, 4, 3, 3000, seed=18).frequency != base.frequency
+        assert probmodel._mc_at_least.cache_info().misses == 3
+
+    def test_cached_counts_are_read_only(self):
+        monte_carlo_disjoint(20, 4, 3, 3000, seed=17)
+        at_least = probmodel._mc_at_least(20, 4, 3000, 17)
+        with pytest.raises(ValueError):
+            at_least[3] = 0
+
+    def test_refused_call_leaves_no_entry(self):
+        probmodel._mc_at_least.cache_clear()
+        with pytest.raises(DomainError):
+            monte_carlo_disjoint(5, 6, 1, 10, seed=0)
+        assert probmodel._mc_at_least.cache_info().currsize == 0
 
     def test_domain(self):
         with pytest.raises(DomainError):

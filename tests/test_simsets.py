@@ -83,6 +83,35 @@ def set_pairs(draw) -> tuple[NumberSet, NumberSet]:
     )
 
 
+def temporaries_mix64(seed: int, counters: np.ndarray) -> np.ndarray:
+    """Reference splitmix64 finalizer: one temporary per xor-shift."""
+    z = counters.astype(np.uint64, copy=True)
+    z += np.uint64(((seed + 1) * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+class TestMix64:
+    def test_matches_the_temporaries_expression(self):
+        rng = np.random.default_rng(23)
+        counters = np.concatenate([
+            rng.integers(0, 2**64, size=5000, dtype=np.uint64, endpoint=False),
+            np.array([0, 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1], dtype=np.uint64),
+        ])
+        for seed in (0, 1, 42, 2**40, -1):
+            assert np.array_equal(mix64(seed, counters), temporaries_mix64(seed, counters))
+
+    def test_leaves_the_counters_alone(self):
+        counters = np.arange(10, dtype=np.uint64) << np.uint64(60)
+        before = counters.copy()
+        mix64(5, counters)
+        assert np.array_equal(counters, before)
+
+
 class TestPerturbPrimes:
     def test_forced_plus_one(self, monkeypatch):
         # hash bit 0 set: every prime moves up
