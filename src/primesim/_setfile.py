@@ -3,10 +3,10 @@
 Two routes read a file. The numpy read takes the leading blank and
 comment lines and the optional limit= header line by line, parses the
 rest with np.loadtxt, and keeps the result whenever it is one column;
-the element rules (>= 1, strictly ascending, within the header) are the
-NumberSet constructor's. A comment line further down stops np.loadtxt;
-when every # of the file leads its line, numpy reads the file once more,
-skipping # lines. Anything else (a # after other text, a header further
+the element rules (>= 1, strictly ascending, within the header) are
+checked by NumberSet.from_elements. A comment line further down stops
+np.loadtxt; when every # of the file leads its line, numpy reads the
+file once more, skipping # lines. Anything else (a # after other text, a header further
 down, a line numpy cannot parse, a value outside int64, a bad byte)
 sends the whole file through by_line, the per-line rules, which define
 the format and raise every error with its line number.
@@ -55,7 +55,7 @@ def _by_numpy(path: str) -> tuple[np.ndarray, int, int] | None:
     element line is left to by_line. When numpy stops and every # leads
     its line, it reads the rest again with comments="#", which skips the
     comment lines and nothing else. The elements are not checked here:
-    the NumberSet constructor checks them.
+    NumberSet.from_elements checks them.
     """
     limit, limit_line = None, 1
     with open(path, "r", encoding="utf-8") as fh:

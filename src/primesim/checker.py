@@ -34,11 +34,13 @@ diagnostics and small-scale equivalence tests.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -106,7 +108,7 @@ def a_set(setQ: NumberSet, n: int) -> DistanceSet:
     """Distances of n to elements at or below it: {n - q : q in Q, q <= n}."""
     if not 1 <= n <= setQ.limit:
         raise DomainError(f"midpoint {n} outside universe [1, {setQ.limit}]")
-    members = (n - setQ.elements[: setQ.rank(n)])[::-1].copy()
+    members = n - setQ.elements_in(1, n)[::-1]
     return DistanceSet(n=n, side="A", members=members)
 
 
@@ -116,7 +118,7 @@ def b_set(setQ: NumberSet, n: int) -> DistanceSet:
         raise DomainError(f"universe too small for b_set midpoint {n}")
     if n < 1:
         raise DomainError("midpoint must be >= 1")
-    members = setQ.elements[setQ.rank(n - 1) : setQ.rank(2 * n - 1)] - n
+    members = setQ.elements_in(n, 2 * n - 1) - n
     return DistanceSet(n=n, side="B", members=members)
 
 
@@ -213,16 +215,17 @@ def _minimal_q1(setQ: NumberSet, E: np.ndarray) -> np.ndarray:
     """
     out = np.zeros(E.size, dtype=np.int64)
     split = int(E.searchsorted(setQ.limit + 1, side="right"))
-    _scan(setQ._words, E[:split] >> 1, setQ.elements, 1, out[:split])
+    _scan(setQ._words, E[:split] >> 1, setQ.blocks(grow=True), 1, out[:split])
     if split < E.size:
-        _scan(setQ._words, -(E[split:][::-1] >> 1), setQ.elements[::-1], -1, out[split:][::-1])
+        _scan(setQ._words, -(E[split:][::-1] >> 1), setQ.blocks(reverse=True, grow=True), -1, out[split:][::-1])
     return out
 
 
-def _scan(words: np.ndarray, keys: np.ndarray, cands: np.ndarray, sign: int, out: np.ndarray) -> None:
-    """Smallest q1 of each even e = 2 * sign * keys[i] into out[i], trying cands in order.
+def _scan(words: np.ndarray, keys: np.ndarray, blocks: Iterator[np.ndarray], sign: int, out: np.ndarray) -> None:
+    """Smallest q1 of each even e = 2 * sign * keys[i] into out[i], trying candidates in order.
 
-    keys and sign * cands ascend, and a candidate c pairs with e as its
+    The candidates come in blocks, read only as far as the scan gets.
+    keys and sign * candidates ascend, and a candidate c pairs with e as its
     smaller part (q1 <= q2, up) or its larger part (down) while
     sign * c <= key. Each step tries the next
     max(1, _SCAN_TESTS // open evens) candidates on every open even, so a
@@ -234,30 +237,33 @@ def _scan(words: np.ndarray, keys: np.ndarray, cands: np.ndarray, sign: int, out
     (q & 1) * T - ((q + 1) >> 1) + e / 2: one offset per candidate, plus
     or minus a key per even.
     """
+    if not keys.size:
+        return
     class_bits = words.size << 5  # T
     pos = np.arange(keys.size)
-    k = 0
-    while keys.size and k < cands.size:
-        chunk = sign * cands[k : k + max(1, _SCAN_TESTS // keys.size)]
-        cut = int(keys.searchsorted(chunk[0]))
-        keys, pos = keys[cut:], pos[cut:]
-        if not keys.size:
-            return
-        chunk = chunk[: chunk.searchsorted(keys[0], side="right"), None]
-        q = cands[k : k + chunk.size, None]
-        k += chunk.size
-        # partners e - q, one row per candidate
-        offset = (q & 1) * class_bits - ((q + 1) >> 1)
-        hits = bits_at(words, offset + keys if sign > 0 else offset - keys)
-        found = hits.any(axis=0)
-        hit = found.nonzero()[0]
-        if hit.size:
-            # an even's first hit is its smallest q1 (up) or largest q2 (down)
-            c = q[hits[:, hit].argmax(axis=0), 0]
-            out[pos[hit]] = c if sign > 0 else -2 * keys[hit] - c
-            if hit.size == keys.size:
+    for cands in blocks:
+        k = 0
+        while k < cands.size:
+            chunk = sign * cands[k : k + max(1, _SCAN_TESTS // keys.size)]
+            cut = int(keys.searchsorted(chunk[0]))
+            keys, pos = keys[cut:], pos[cut:]
+            if not keys.size:
                 return
-            keys, pos = keys[~found], pos[~found]
+            chunk = chunk[: chunk.searchsorted(keys[0], side="right"), None]
+            q = cands[k : k + chunk.size, None]
+            k += chunk.size
+            # partners e - q, one row per candidate
+            offset = (q & 1) * class_bits - ((q + 1) >> 1)
+            hits = bits_at(words, offset + keys if sign > 0 else offset - keys)
+            found = hits.any(axis=0)
+            hit = found.nonzero()[0]
+            if hit.size:
+                # an even's first hit is its smallest q1 (up) or largest q2 (down)
+                c = q[hits[:, hit].argmax(axis=0), 0]
+                out[pos[hit]] = c if sign > 0 else -2 * keys[hit] - c
+                if hit.size == keys.size:
+                    return
+                keys, pos = keys[~found], pos[~found]
 
 
 def _sweep_open(setQ: NumberSet, lo: int, hi: int) -> np.ndarray:
@@ -278,14 +284,17 @@ def _sweep_open(setQ: NumberSet, lo: int, hi: int) -> np.ndarray:
         R[-1] = ~_U64((1 << (nbits & 63)) - 1)  # padding past hi counts as settled
     classes = [setQ.parity_class(c).words for c in (0, 1)]
     few = ((hi - lo) >> 10) + 1
-    for q1 in map(int, setQ.elements):
+    for q1 in map(int, itertools.chain.from_iterable(setQ.blocks(grow=True))):
         open_evens = (R.size << 6) - int(np.bitwise_count(R).sum())
         if open_evens <= few or 2 * q1 > hi:
             break
         a = (lo - q1) >> 1
         R |= extract_window(classes[q1 & 1], a, a + nbits - 1)
-    bits = np.unpackbits(R.view(np.uint8), count=nbits, bitorder="little")
-    return lo + 2 * np.flatnonzero(bits == 0)
+    # open evens are the zero bits; only the words that hold one are unpacked
+    R = ~R
+    w = np.flatnonzero(R)
+    word, bit = np.nonzero(np.unpackbits(R[w].view(np.uint8), bitorder="little").reshape(-1, 64))
+    return lo + 2 * (64 * w[word] + bit)
 
 
 def _chunk_failures(setQ: NumberSet, c_lo: int, c_hi: int) -> list[int]:

@@ -22,6 +22,14 @@ from .probmodel import coefficient_c, model_table, tail_integral
 from .reports import document, plot_series_from_report, table_csv
 from .simsets import KINDS, SetSpec, build, deviation_series, similarity
 
+# The inline flag of each SetSpec field but kind: (flag, type, help).
+_SET_FLAGS = {
+    "limit": ("--limit", int, "universe limit for inline specs"),
+    "seed": ("--seed", int, "seed for perturbed sets"),
+    "shift_t": ("--shift", int, "translation for shifted sets"),
+    "path": ("--path", str, "set file for kind=file"),
+}
+
 # Rows in one prob table; a row near n = 1e6 takes about 1 ms.
 PROB_MAX_ROWS = 10_000
 # Largest row n of a prob table: one row at n = 1e9 takes about 0.6 s.
@@ -84,19 +92,19 @@ def _spec_from_args(args: argparse.Namespace) -> SetSpec:
     """Resolve --set (gen-set: --kind): a kind name plus inline flags, or a spec-file path."""
     token = args.set
     if token in KINDS:
-        return SetSpec(
-            kind=token,
-            limit=args.limit,
-            seed=args.seed,
-            shift_t=args.shift,
-            path=args.path,
-        )
+        return SetSpec(kind=token, **{field: getattr(args, flag[2:]) for field, (flag, *_) in _SET_FLAGS.items()})
     if os.path.exists(token):
         with open(token, "r", encoding="utf-8") as fh:
             return SetSpec.from_text(fh.read())
     raise DomainError(
         f"--set must be one of {tuple(KINDS)} or an existing spec file, got {token!r}"
     )
+
+
+def _valid_spec(args: argparse.Namespace) -> SetSpec:
+    """args.spec, validated, with a missing field named by its flag; a spec file was validated, by its keys, when read."""
+    args.spec.validate({field: flag for field, (flag, *_) in _SET_FLAGS.items()})
+    return args.spec
 
 
 def _run_sieve(args: argparse.Namespace) -> int:
@@ -109,10 +117,18 @@ def _run_sieve(args: argparse.Namespace) -> int:
 
 
 def _run_gen_set(args: argparse.Namespace) -> int:
-    ns = build(args.spec)
+    spec = _valid_spec(args)
+    # The report compares with the primes up to the spec's limit, the ones a
+    # primes, perturbed or shifted set is built from, so one sieve serves
+    # both. Below 3, build refuses the limit or sieves a few numbers itself.
+    primes = None
+    if args.deviation_report and spec.kind != "file" and spec.limit >= 3:
+        primes = primes_up_to(spec.limit)
+    ns = build(spec, primes)
     save_set(ns, args.out, header_comments=_header_lines(args))
     if args.deviation_report:
-        primes = primes_up_to(min(ns.limit, args.spec.limit or ns.limit))
+        if primes is None:
+            primes = primes_up_to(min(ns.limit, spec.limit or ns.limit))
         report = similarity(ns, primes)
         grid, devs = deviation_series(ns, primes)
         text = document(
@@ -137,7 +153,7 @@ def _run_check(args: argparse.Namespace) -> int:
         # name the flag the user typed, not the check_range keyword
         key, _, rest = str(exc).partition(" ")
         raise DomainError(f"--{key.replace('_', '-')} {rest}" if key in layout else str(exc)) from None
-    report = check_range(build(args.spec), args.lo, args.hi, **layout)
+    report = check_range(build(_valid_spec(args)), args.lo, args.hi, **layout)
     rows = [astuple(b) for b in report.buckets]
     if args.fmt == "csv":
         _emit(args, table_csv(_header_lines(args), BUCKET_COLUMNS, rows))
@@ -157,7 +173,7 @@ def _run_check(args: argparse.Namespace) -> int:
 
 
 def _run_anb(args: argparse.Namespace) -> int:
-    ns = build(args.spec)
+    ns = build(_valid_spec(args))
     n = args.n
     a = a_set(ns, n)
     b = b_set(ns, n)
@@ -237,10 +253,8 @@ _RUNNERS = {
 def _add_set_args(sub: argparse.ArgumentParser, flag: str, **how) -> None:
     # dest "set" for gen-set's --kind too, so one resolver builds every spec
     sub.add_argument(flag, dest="set", required=True, **how)
-    sub.add_argument("--limit", type=int, help="universe limit for inline specs")
-    sub.add_argument("--seed", type=int, help="seed for perturbed sets")
-    sub.add_argument("--shift", type=int, help="translation for shifted sets")
-    sub.add_argument("--path", help="set file for kind=file")
+    for name, kind, text in _SET_FLAGS.values():
+        sub.add_argument(name, type=kind, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,15 +1,26 @@
-"""Core integer-set structure: sorted elements plus a parity-split bitset, and prime sieving.
+"""Core integer-set structure: a parity-split bitset, read on demand, and prime sieving.
 
-A NumberSet is an immutable sorted set of naturals >= 1 living in the
-universe [1, limit]: a sorted int64 element array, for rank queries and
-ordered scans, and one packed uint64 array for membership, which the
-constructor alone builds from it. The array holds the set's two parity
-classes, the even members and then the odd ones: class c is one half of
-it, with the member 2i + c at bit i (bit i of word w is 64*w + i), since
-a sum of two elements is even only when both share a parity.
+A NumberSet is an immutable set of naturals >= 1 in the universe
+[1, limit], held as its limit and one packed uint64 bitset, nothing else.
+The bitset holds the set's two parity classes, the even members and then
+the odd ones: class c is one half of it, (limit >> 7) + 1 words, with the
+member 2i + c at bit i (bit i of word w is 64*w + i), since a sum of two
+elements is even only when both share a parity.
 
-The module also owns the shared on-disk set format (its reader, numpy's
-text parser backed by the per-line rules, is in _setfile), a full
+Elements are read off the bitset when asked for. blocks() yields them in
+sorted blocks from either end: a block is one unpackbits per class of
+up to BLOCK_WORDS / 16 words, interleaved so that the flags fall in
+integer order; for a reader that stops after a few elements, blocks
+start at one word per class and double. rank() and rank_many()
+read a rank directory, the classic structure of cumulative popcounts
+(Jacobson 1989), here Vigna's rank9 (2008): per 8 words, the ones before
+them and before each of them, a quarter of the bitset's size, built on
+first use, so a check never builds it. `elements` is an explicit sorted
+copy, for tests and small sets.
+
+primes_up_to sieves segment by segment straight into the odd class's
+words. The module also owns the shared on-disk set format (its reader,
+numpy's text parser backed by the per-line rules, is in _setfile), a full
 bit-reversal, and the packed-window bit helpers and class views
 (ParityClass) that the Goldbach checker builds its sweep, scan and
 representation counts on.
@@ -19,7 +30,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -36,8 +47,8 @@ _ONE = np.uint64(1)
 _U64 = np.uint64
 
 # words (or elements) per block in the passes that would otherwise hold
-# full-size temporaries: packing a bitset from elements, moving perturbed
-# primes, the similarity scan
+# full-size temporaries: the largest element block, packing a bitset from
+# elements, shifting a set, the rank directory
 BLOCK_WORDS = 1 << 14
 
 # masks and shifts that swap a word's adjacent bits, bit pairs and nibbles:
@@ -49,18 +60,39 @@ _SWAPS = tuple(
 
 
 class NumberSet:
-    """Immutable sorted set of naturals with bitset membership and rank.
+    """Immutable set of naturals in [1, limit]: its parity-split bitset, read for membership, rank and elements.
 
-    The constructor keeps a strictly increasing 1-D int64 array of
-    elements >= 1, that nothing else holds, uncopied and read-only, and
-    packs the bitset from it: (limit >> 7) + 1 words per parity class,
-    even class first. limit None takes the last element.
-    :meth:`from_elements` copies a caller's elements first.
+    The constructor adopts `words`, the bitset of (limit >> 7) + 1 words
+    per parity class, even class first, uncopied, and freezes it; a bit
+    outside [1, limit] is refused. :meth:`from_elements` packs it from
+    sorted elements.
     """
 
-    __slots__ = ("limit", "elements", "_words", "_classes")
+    __slots__ = ("limit", "_words", "_classes", "_directory")
 
-    def __init__(self, elements: np.ndarray, limit: int | None):
+    def __init__(self, words: np.ndarray, limit: int):
+        half = (limit >> 7) + 1
+        if limit < 1 or words.dtype != np.uint64 or words.shape != (2 * half,):
+            raise DomainError(f"a bitset for limit {limit} is {2 * half} uint64 words")
+        words.flags.writeable = False
+        classes = (ParityClass(words[:half]), ParityClass(words[half:]))
+        if (classes[0].first == 0 and classes[0].last >= 0) or any(
+            2 * p.last + c > limit for c, p in enumerate(classes)
+        ):
+            raise DomainError(f"bitset holds members outside [1, {limit}]")
+        self.limit = int(limit)
+        self._words = words
+        self._classes = classes
+        self._directory: np.ndarray | None = None
+
+    @classmethod
+    def from_elements(
+        cls, elements: Iterable[int] | np.ndarray, limit: int | None = None
+    ) -> "NumberSet":
+        """The set of strictly increasing elements >= 1; limit None takes the last one. A caller's array is only read."""
+        elements = np.asarray(
+            list(elements) if not isinstance(elements, np.ndarray) else elements, dtype=np.int64
+        )
         if elements.ndim != 1:
             raise DomainError("elements must be one-dimensional")
         if elements.size and elements[0] < 1:
@@ -73,19 +105,9 @@ class NumberSet:
             limit = int(elements[-1])
         elif elements.size and int(elements[-1]) > limit:
             raise DomainError(f"element {int(elements[-1])} exceeds limit {limit}")
-        if limit < 1:
-            raise DomainError("limit must be >= 1")
-        half = (limit >> 7) + 1  # words a class needs for its bit limit >> 1
-        try:
-            words = np.zeros(2 * half, dtype=np.uint64)
-        except (MemoryError, ValueError):  # ValueError past numpy's largest dimension
-            raise DomainError(f"cannot allocate the {16 * half}-byte bitset for limit {limit}") from None
-        _set_bits(words, elements, lambda x: (x & 1) * (half << 6) + (x >> 1))
-        elements.flags.writeable = False
-        self.limit = int(limit)
-        self.elements = elements
-        self._words = words
-        self._classes = (ParityClass(words[:half]), ParityClass(words[half:]))
+        words = new_words(limit)
+        set_members(words, elements)
+        return cls(words, limit)
 
     def reversed_words(self) -> np.ndarray:
         """Full-resolution bit-reversal of the set, read-only, built on each call.
@@ -94,32 +116,82 @@ class NumberSet:
         + 1), so a reversed window becomes an aligned forward read.
         """
         rev = np.zeros((self.limit >> 6) + 1, dtype=np.uint64)
-        return _set_bits(rev, self.elements, lambda x: (rev.size << 6) - 1 - x)
+        for block in self.blocks():
+            _set_bits(rev, (rev.size << 6) - 1 - block)
+        rev.flags.writeable = False
+        return rev
 
     def parity_class(self, c: int) -> "ParityClass":
         """The elements 2i + c (c = 0 even, 1 odd), packed at bit i."""
         return self._classes[c]
 
-    @classmethod
-    def from_elements(
-        cls, elements: Iterable[int] | np.ndarray, limit: int | None = None
-    ) -> "NumberSet":
-        """A set of the given elements; a caller's array is copied, not frozen."""
-        return cls(
-            np.array(
-                list(elements) if not isinstance(elements, np.ndarray) else elements,
-                dtype=np.int64,
-            ),
-            limit,
-        )
+    @property
+    def elements(self) -> np.ndarray:
+        """Every element, ascending, in a new read-only int64 array on each read: for tests and small sets."""
+        out = self.elements_in(1, self.limit)
+        out.flags.writeable = False
+        return out
+
+    def elements_in(self, lo: int, hi: int) -> np.ndarray:
+        """The elements in [lo, hi], ascending, in one new int64 array."""
+        return np.concatenate([np.empty(0, dtype=np.int64), *self.blocks(lo, hi)])
+
+    def blocks(
+        self, lo: int = 1, hi: int | None = None, *, reverse: bool = False, grow: bool = False
+    ) -> Iterator[np.ndarray]:
+        """The elements in [lo, hi] (hi None: limit) in sorted, non-empty int64 blocks, descending with reverse.
+
+        A block covers up to BLOCK_WORDS / 16 words of each class (8 *
+        BLOCK_WORDS integers, at most as many elements). With grow, blocks
+        cover 1, 2, 4, ... words from the starting end up to that, so a
+        reader that stops after the first elements reads few words.
+        """
+        hi = self.limit if hi is None else min(hi, self.limit)
+        lo = max(lo, 1)
+        if lo > hi:
+            return
+        w_lo, w_hi = lo >> 7, (hi >> 7) + 1  # class words over [lo, hi], not yet read
+        most = max(1, BLOCK_WORDS >> 4)
+        size = 1 if grow else most
+        while w_lo < w_hi:
+            if reverse:
+                w0, w1 = max(w_lo, w_hi - size), w_hi
+                w_hi = w0
+            else:
+                w0, w1 = w_lo, min(w_hi, w_lo + size)
+                w_lo = w1
+            block = self._members(w0, w1)
+            block = block[block.searchsorted(lo) : block.searchsorted(hi, side="right")]
+            if block.size:
+                yield block[::-1] if reverse else block
+            size = min(2 * size, most)
+
+    def _members(self, w0: int, w1: int) -> np.ndarray:
+        """The elements in [128 * w0, 128 * w1), ascending, from words w0 to w1 - 1 of each class.
+
+        A class with no member there is not read; with both read, their
+        flags are interleaved, so that they fall in integer order.
+        """
+        live = [
+            (c, np.unpackbits(p.words[w0:w1].view(np.uint8), bitorder="little").view(bool))
+            for c, p in enumerate(self._classes)
+            if p.first >> 6 < w1 and p.last >> 6 >= w0
+        ]
+        if len(live) == 2:
+            return (w0 << 7) + np.flatnonzero(np.stack([flags for _, flags in live], axis=1))
+        if live:
+            c, flags = live[0]
+            return (w0 << 7) + c + 2 * np.flatnonzero(flags)
+        return np.empty(0, dtype=np.int64)
 
     def __len__(self) -> int:
-        return int(self.elements.size)
+        words = self._words
+        return sum(int(np.bitwise_count(words[k : k + BLOCK_WORDS]).sum()) for k in range(0, words.size, BLOCK_WORDS))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NumberSet):
             return NotImplemented
-        return self.limit == other.limit and np.array_equal(self.elements, other.elements)
+        return self.limit == other.limit and np.array_equal(self._words, other._words)
 
     def __repr__(self) -> str:
         return f"NumberSet(n={len(self)}, limit={self.limit})"
@@ -137,20 +209,86 @@ class NumberSet:
         """Number of elements <= n, for 0 <= n <= limit."""
         if not 0 <= n <= self.limit:
             raise DomainError(f"rank argument {n} outside [0, {self.limit}]")
-        return int(np.searchsorted(self.elements, n, side="right"))
+        return int(self.rank_many(np.array([n]))[0])
 
     def rank_many(self, ns: np.ndarray) -> np.ndarray:
-        """Vector rank via binary search on the element array."""
-        return np.searchsorted(self.elements, ns, side="right")
+        """Number of elements <= n for each n of an int array; n is clamped to [0, limit].
+
+        Even members 2i <= n are class-0 bits below n // 2 + 1, odd ones
+        2i + 1 <= n class-1 bits below (n + 1) // 2, and class 1 starts at
+        bit T = 64 * (words in a class), so rank(n) = below(n // 2 + 1) +
+        below(T + (n + 1) // 2) - below(T), below(p) counting the bitset's
+        ones under position p.
+        """
+        ns = np.clip(np.asarray(ns, dtype=np.int64), 0, self.limit)
+        class_bits = self._words.size << 5
+        pos = np.concatenate([(ns >> 1) + 1, class_bits + ((ns + 1) >> 1), [class_bits]])
+        below = self._ones_below(pos)
+        return below[: ns.size] + below[ns.size : -1] - below[-1]
+
+    def _ones_below(self, pos: np.ndarray) -> np.ndarray:
+        """Ones of the bitset at bit positions below each p of pos, 0 <= p <= 64 * words.
+
+        Word w = p >> 6 is word w & 7 of superblock w >> 3: the directory
+        gives the ones before the superblock and before that word in it,
+        and the word's own bits below p are popcounted.
+        """
+        if self._directory is None:
+            self._directory = _rank_directory(self._words)
+        w = pos >> 6
+        entry = self._directory[w >> 3]
+        j = (w & 7).astype(np.uint64)
+        # the ones before word j of the superblock, 9 bits each from j = 1
+        inner = (entry[:, 1].view(np.uint64) >> (_U64(9) * j - _U64(9)) % _U64(64)) & _U64(511)
+        out = entry[:, 0] + np.where(j > 0, inner, _U64(0)).view(np.int64)
+        word = self._words[np.minimum(w, self._words.size - 1)]
+        out += np.bitwise_count(word & ((_ONE << (pos & 63).astype(np.uint64)) - _ONE))
+        return out
 
 
-def _set_bits(words: np.ndarray, elements: np.ndarray, bit: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Sets bit(x) of words for every element x, a block at a time; returns words, frozen."""
+def _rank_directory(words: np.ndarray) -> np.ndarray:
+    """Vigna's rank9 directory of words, read-only: one row per 8-word superblock, and one past the last.
+
+    Row k holds the ones in words[:8k] and, in 9-bit fields, the ones in
+    words[8k : 8k + j] for j = 1 .. 7: 16 bytes per 64 bytes of bitset.
+    """
+    out = np.zeros((-(-words.size // 8) + 1, 2), dtype=np.int64)
+    step = max(8, BLOCK_WORDS & ~7)
+    for k in range(0, words.size, step):
+        block = words[k : k + step]
+        counts = np.zeros(-(-block.size // 8) * 8, dtype=np.int64)
+        counts[: block.size] = np.bitwise_count(block)
+        counts = counts.reshape(-1, 8)
+        rows = slice(k >> 3, (k >> 3) + counts.shape[0])
+        out[rows, 1] = (np.cumsum(counts[:, :7], axis=1) << np.arange(0, 63, 9)).sum(axis=1)
+        out[rows.start + 1 : rows.stop + 1, 0] = counts.sum(axis=1)
+    np.cumsum(out[:, 0], out=out[:, 0])
+    out.flags.writeable = False
+    return out
+
+
+def new_words(limit: int) -> np.ndarray:
+    """A zeroed bitset for the universe [1, limit]: (limit >> 7) + 1 words per parity class."""
+    if limit < 1:
+        raise DomainError("limit must be >= 1")
+    half = (limit >> 7) + 1  # words a class needs for its bit limit >> 1
+    try:
+        return np.zeros(2 * half, dtype=np.uint64)
+    except (MemoryError, ValueError):  # ValueError past numpy's largest dimension
+        raise DomainError(f"cannot allocate the {16 * half}-byte bitset for limit {limit}") from None
+
+
+def set_members(words: np.ndarray, elements: np.ndarray) -> None:
+    """Sets the bit of each element (in any order) in the parity-split bitset words, a block at a time."""
+    class_bits = words.size << 5
     for lo in range(0, elements.size, BLOCK_WORDS):
-        pos = bit(elements[lo : lo + BLOCK_WORDS])
-        np.bitwise_or.at(words, pos >> 6, _ONE << (pos & 63).astype(np.uint64))
-    words.flags.writeable = False
-    return words
+        x = elements[lo : lo + BLOCK_WORDS]
+        _set_bits(words, (x & 1) * class_bits + (x >> 1))
+
+
+def _set_bits(words: np.ndarray, pos: np.ndarray) -> None:
+    """Sets bit p of words for every p of pos."""
+    np.bitwise_or.at(words, pos >> 6, _ONE << (pos & 63).astype(np.uint64))
 
 
 class ParityClass:
@@ -246,38 +384,44 @@ def _sieve_segment(lo: int, hi: int, odd_base: list[int]) -> np.ndarray:
     return seg
 
 
-def _prime_elements(limit: int) -> np.ndarray:
-    """Every prime in [2, limit], in one int64 array that nothing else holds.
-
-    The array is allocated first, at the Rosser-Schoenfeld bound
-    pi(x) < 1.25506 x / ln x, so a limit too large to hold fails before
-    any sieving. 2 is written first, then each segment's odd primes (flag
-    j of the segment at lo is lo + 2j + 1), and the array is then shrunk
-    in place, so its unused tail is never touched. The odd primes up to
-    sqrt(limit) that sieve the segments come from the same function.
-    """
+def primes_up_to(limit: int) -> NumberSet:
+    """All primes in [2, limit]; beyond the bitset, memory is one segment of SEGMENT_SIZE numbers."""
     if limit < 2:
         raise DomainError("primes_up_to needs limit >= 2")
-    bound = int(1.25506 * limit / math.log(limit)) + 1
-    try:
-        out = np.empty(bound, dtype=np.int64)
-    except (MemoryError, ValueError):
-        raise DomainError(f"cannot allocate the {bound * 8}-byte element array for limit {limit}") from None
+    return NumberSet(_prime_words(limit), limit)
+
+
+def _prime_words(limit: int) -> np.ndarray:
+    """The parity-split bitset of the primes in [2, limit], limit >= 2.
+
+    The bitset is allocated first, so a limit too large to hold fails
+    before any sieving. 2 is bit 1 of the even class. Flag j of the
+    segment at lo is lo + 2j + 1, bit lo / 2 + j of the odd class, so a
+    segment's flags are packed and ORed into that class's bytes from bit
+    lo / 2, after lo / 2 mod 8 zero flags when that bit is inside a byte,
+    and one segment is alive at a time. The odd primes up to sqrt(limit)
+    that sieve the segments are the odd class of the same function's
+    bitset for sqrt(limit).
+    """
+    words = new_words(limit)
+    words[0] = 1 << 1  # 2
+    odd = words[words.size >> 1 :].view(np.uint8)
     root = math.isqrt(limit)
-    odd_base = _prime_elements(root)[1:].tolist() if root >= 2 else []
-    out[0], n = 2, 1
+    odd_base = []
+    if root >= 3:
+        base = _prime_words(root)
+        odd_base = (2 * np.flatnonzero(np.unpackbits(base[base.size >> 1 :].view(np.uint8), bitorder="little")) + 1).tolist()
     for lo in range(0, limit + 1, SEGMENT_SIZE):
-        seg = np.flatnonzero(_sieve_segment(lo, min(lo + SEGMENT_SIZE, limit + 1), odd_base))
-        dst = np.multiply(seg, 2, out=out[n : n + seg.size])
-        dst += lo + 1
-        n += seg.size
-    out.resize(n, refcheck=False)
-    return out
+        _or_flags(odd, lo >> 1, _sieve_segment(lo, min(lo + SEGMENT_SIZE, limit + 1), odd_base))
+    return words
 
 
-def primes_up_to(limit: int) -> NumberSet:
-    """All primes in [2, limit]; beyond the set, memory is one segment of SEGMENT_SIZE numbers."""
-    return NumberSet(_prime_elements(limit), limit)
+def _or_flags(dst: np.ndarray, bit: int, flags: np.ndarray) -> None:
+    """ORs bool flags into the bytes dst, flag j at bit + j; the flags die with the call."""
+    if bit & 7:
+        flags = np.concatenate([np.zeros(bit & 7, dtype=bool), flags])
+    packed = np.packbits(flags, bitorder="little")
+    dst[bit >> 3 : (bit >> 3) + packed.size] |= packed
 
 
 def save_set(ns: NumberSet, path: str, header_comments: Iterable[str] = ()) -> None:
@@ -286,10 +430,8 @@ def save_set(ns: NumberSet, path: str, header_comments: Iterable[str] = ()) -> N
         for line in header_comments:
             fh.write(f"# {line}\n")
         fh.write(f"limit={ns.limit}\n")
-        elems = ns.elements
-        for i in range(0, elems.size, 1 << 16):
-            chunk = elems[i : i + (1 << 16)].tolist()
-            fh.write("\n".join(map(str, chunk)))
+        for block in ns.blocks():
+            fh.write("\n".join(map(str, block.tolist())))
             fh.write("\n")
 
 
@@ -297,16 +439,16 @@ def load_set(path: str) -> NumberSet:
     """Read the shared ASCII set format; errors carry the offending line number.
 
     _setfile.read parses the file into one int64 array, with numpy when
-    it can; the NumberSet checks its elements and keeps it uncopied.
-    _setfile.by_line only parses what numpy cannot, or locates an error.
-    The reader is imported on first use, so a process that reads no set
-    file never compiles it.
+    it can; from_elements checks its elements and packs the bitset, and
+    the array is dropped. _setfile.by_line only parses what numpy cannot,
+    or locates an error. The reader is imported on first use, so a
+    process that reads no set file never compiles it.
     """
     from . import _setfile
 
     elems, limit, limit_line = _setfile.read(path)
     try:
-        return NumberSet(elems, limit)
+        return NumberSet.from_elements(elems, limit)
     except DomainError as exc:
         if not str(exc).startswith("cannot allocate"):
             _setfile.by_line(path)  # raises the broken rule with its line

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._rng import mix64
 from .errors import DomainError
-from .numset import _prime_elements
+from .numset import primes_up_to
 
 LN10 = math.log(10.0)
 RATIONAL_MAX_M = 64
@@ -135,7 +135,7 @@ def coefficient_c_fraction(p_max: int) -> Fraction:
     if p_max < 2:
         raise DomainError("coefficient needs p_max >= 2")
     c = Fraction(1)
-    for p in _prime_elements(p_max).tolist():
+    for p in primes_up_to(p_max).elements.tolist():
         c *= Fraction(p, p - 1)
     return c
 
@@ -291,4 +291,6 @@ def model_row(n: int, p_max: int | None = None, damping_c: float | None = None) 
 def model_table(
     ns: Iterable[int], p_max: int | None = None, damping_c: float | None = None
 ) -> list[ModelRow]:
+    if damping_c is None and p_max in (2, 3):  # one coefficient for every row
+        damping_c = coefficient_c(p_max)
     return [model_row(n, p_max=p_max, damping_c=damping_c) for n in ns]

@@ -273,7 +273,21 @@ class TestPairCount:
             assert pair_count(ns, even) == brute_force_count(members, even), even
 
 
+def forbid_elements(monkeypatch) -> None:
+    """Make every read of NumberSet.elements fail the test."""
+    monkeypatch.setattr(NumberSet, "elements", property(lambda self: pytest.fail("NumberSet.elements read")))
+
+
 class TestCheckRange:
+    def test_no_hot_path_reads_the_element_array(self, monkeypatch):
+        ns = primes_up_to(20_000_000)
+        forbid_elements(monkeypatch)
+        report = check_range(ns, 4, 20_000_000)
+        assert report.failures == [] and report.threshold_n0 == 2
+        # the downward scan, above limit + 1
+        assert find_representation(ns, 39_999_998) is not None
+        assert minimal_representations(ns, 39_999_000, 40_000_000).size == 501
+
     def test_primes_clean_to_1e4(self, primes_10k):
         report = check_range(primes_10k, 4, 10_000)
         assert report.failures == []
@@ -659,10 +673,11 @@ class TestProgressionCounts:
         assert progression_counts(primes_10k, 6, 2 * 10**12, 1).tolist() == [pair_count(primes_10k, 6)]
         assert sum(widths) <= 2 * 10_000
 
-    def test_reads_only_the_bitset(self, primes_10k):
+    def test_reads_only_the_bitset(self, monkeypatch, primes_10k):
         expected = progression_counts(primes_10k, 4, 14, 1000)
         ns = NumberSet.from_elements(primes_10k.elements, primes_10k.limit)
-        ns.elements = None
+        # elements is read off the bitset on demand, so the class's reader is what fails
+        monkeypatch.setattr(NumberSet, "elements", property(lambda self: pytest.fail("elements read")))
         assert np.array_equal(progression_counts(ns, 4, 14, 1000), expected)
 
     def test_precision_guard(self, monkeypatch, primes_10k):

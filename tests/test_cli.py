@@ -71,6 +71,20 @@ class TestGenSet:
         assert code == 2
         assert "seed" in err
 
+    def test_deviation_report_sieves_once(self, capsys, tmp_path, monkeypatch):
+        from primesim import cli, simsets
+
+        calls = []
+        for mod in (cli, simsets):
+            sieve = mod.primes_up_to
+            monkeypatch.setattr(mod, "primes_up_to", lambda limit, sieve=sieve: calls.append(limit) or sieve(limit))
+        code, _, _ = run_cli(
+            capsys,
+            "gen-set", "--kind", "perturbed", "--limit", "100000", "--seed", "7",
+            "--out", str(tmp_path / "q.txt"), "--deviation-report", str(tmp_path / "dev.json"),
+        )
+        assert code == 0 and calls == [100_000]
+
     def test_deviation_report(self, capsys, tmp_path):
         out = tmp_path / "q.txt"
         dev = tmp_path / "dev.json"
@@ -537,6 +551,30 @@ class TestUsageErrors:
             main(argv)
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {argv[-1]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["check", "--set", "shifted", "--limit", "100", "--lo", "4", "--hi", "10"], "shifted spec needs --shift"),
+            (["check", "--set", "perturbed", "--limit", "100", "--lo", "4", "--hi", "10"], "perturbed spec needs --seed"),
+            (["anb", "--set", "primes", "--n", "5"], "primes spec needs --limit"),
+            (["gen-set", "--kind", "file", "--out", "x.txt"], "file spec needs --path"),
+            (["gen-set", "--kind", "perturbed", "--limit", "100", "--out", "x.txt", "--deviation-report", "d.json"],
+             "perturbed spec needs --seed"),
+        ],
+        ids=["check-shift", "check-seed", "anb-limit", "gen-set-path", "gen-set-report-seed"],
+    )
+    def test_missing_field_names_the_flag(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"primesim {argv[0]}: {message}\n"
+        assert not (tmp_path / "x.txt").exists()
+
+    def test_spec_file_names_the_missing_key(self, capsys, tmp_path):
+        spec = tmp_path / "set.spec"
+        spec.write_text("kind=shifted\nlimit=100\n")
+        assert main(["check", "--set", str(spec), "--lo", "4", "--hi", "10"]) == 2
+        assert capsys.readouterr().err == "primesim check: shifted spec needs shift_t\n"
 
     def test_every_parsed_argument_reaches_the_header(self):
         # a flag that may change a result must be echoed in the report header:

@@ -80,6 +80,17 @@ class TestPrimesUpTo:
             tracemalloc.stop()
         assert peak <= ns.elements.nbytes + ns._words.nbytes + 2**21, peak
 
+    def test_heap_is_the_bitset_and_one_segment(self):
+        # no element array: the bitset, one segment of flags and 256 KiB
+        # (604 KiB above the bitset measured, 512 KiB of it the segment)
+        tracemalloc.start()
+        try:
+            ns = primes_up_to(20_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ns._words.nbytes + numset.SEGMENT_SIZE // 2 + 2**18, peak
+
     def test_prime_count_at_2e8(self):
         # pinned once against an independent prime-counting implementation
         ns = primes_up_to(200_000_000)
@@ -296,6 +307,119 @@ class TestParityClasses:
         perturbed = perturb_primes(10_000, 1)
         (odd,) = perturbed.elements[perturbed.elements % 2 == 1]
         assert (perturbed.parity_class(1).first, perturbed.parity_class(1).last) == (odd >> 1, odd >> 1)
+
+
+@st.composite
+def bitset_cases(draw) -> tuple[int, np.ndarray]:
+    """(limit, sorted elements): random sets of a drawn density, at limits that end classes anywhere in a word."""
+    limit = draw(st.integers(min_value=1, max_value=3000))
+    density = draw(st.sampled_from([0.0, 0.005, 0.1, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    flags = rng.random(limit) < density
+    parity = draw(st.sampled_from(["both", "even", "odd"]))
+    if parity != "both":  # one class empty
+        flags[(1 if parity == "even" else 0) :: 2] = False  # flags[x - 1] is x
+    return limit, np.flatnonzero(flags).astype(np.int64) + 1
+
+
+# limits 1 and 2, empty classes, and class ends at, before and past a word and a block
+BITSET_EXAMPLES = [
+    (1, np.array([], dtype=np.int64)),
+    (1, np.array([1])),
+    (2, np.array([2])),
+    (2, np.array([1, 2])),
+    (127, np.arange(1, 128)),
+    (128, np.arange(2, 129, 2)),
+    (129, np.arange(1, 130, 2)),
+    (2 * 2048 + 1, np.arange(1, 2 * 2048 + 2)),
+]
+
+
+class TestBitsetReads:
+    """Each read of the bitset against its oracle, an element array of the set."""
+
+    @given(case=bitset_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_rank_matches_searchsorted(self, case):
+        limit, elems = case
+        for block_words in (8, 16, numset.BLOCK_WORDS):  # directory blocks of one and two superblocks
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(numset, "BLOCK_WORDS", block_words)
+                ns = NumberSet.from_elements(elems, limit)
+                copy = ns.elements
+                assert copy.tolist() == elems.tolist()
+                queries = np.arange(-3, limit + 4)
+                want = np.searchsorted(copy, np.clip(queries, 0, limit), side="right")
+                assert ns.rank_many(queries).tolist() == want.tolist()
+                sample = range(0, limit + 1, max(1, limit // 40))
+                assert [ns.rank(n) for n in sample] == want[3:-3][sample].tolist()
+                assert len(ns) == copy.size
+
+    def test_rank_examples(self):
+        for limit, elems in BITSET_EXAMPLES:
+            ns = NumberSet.from_elements(elems, limit)
+            queries = np.arange(0, limit + 1)
+            assert ns.rank_many(queries).tolist() == np.searchsorted(elems, queries, side="right").tolist()
+
+    @given(case=bitset_cases(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_blocks_match_the_element_array(self, case, data):
+        limit, elems = case
+        lo = data.draw(st.integers(-2, limit + 2), label="lo")
+        hi = data.draw(st.integers(lo - 1, limit + 300), label="hi")
+        want = elems[(elems >= lo) & (elems <= hi)]
+        for block_words in (1, 16, 64, numset.BLOCK_WORDS):  # blocks of 1, 1, 4 and 1024 words
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(numset, "BLOCK_WORDS", block_words)
+                ns = NumberSet.from_elements(elems, limit)
+                for grow in (False, True):
+                    up = list(ns.blocks(lo, hi, grow=grow))
+                    down = list(ns.blocks(lo, hi, reverse=True, grow=grow))
+                    assert all(b.size and np.all(np.diff(b) > 0) for b in up)
+                    assert all(b.size and np.all(np.diff(b) < 0) for b in down)
+                    assert np.concatenate([np.empty(0, np.int64), *up]).tolist() == want.tolist()
+                    assert np.concatenate([np.empty(0, np.int64), *down]).tolist() == want[::-1].tolist()
+                assert ns.elements_in(lo, hi).tolist() == want.tolist()
+
+    def test_growing_blocks_read_few_words_first(self, primes_100k):
+        sizes = [b[-1] - b[0] for b in primes_100k.blocks(grow=True)][:4]
+        assert sizes == sorted(sizes) and sizes[0] < 128
+
+    def test_elements_is_a_fresh_read_only_copy(self, primes_10k):
+        first, second = primes_10k.elements, primes_10k.elements
+        assert first is not second and np.array_equal(first, second)
+        assert not first.flags.writeable and first.flags.owndata
+
+    @given(case=bitset_cases())
+    @settings(max_examples=100, deadline=None)
+    @example(case=BITSET_EXAMPLES[0])
+    def test_save_load_round_trip_is_byte_identical(self, case):
+        limit, elems = case
+        ns = NumberSet.from_elements(elems, limit)
+        want = f"# c\nlimit={limit}\n" + "".join(f"{x}\n" for x in elems.tolist())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "set.txt"
+            for block_words in (16, numset.BLOCK_WORDS):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(numset, "BLOCK_WORDS", block_words)
+                    save_set(ns, str(path), header_comments=["c"])
+                    assert path.read_text() == want
+                    loaded = load_set(str(path))
+                    assert loaded == ns and loaded.elements.tolist() == elems.tolist()
+                    save_set(loaded, str(path), header_comments=["c"])
+                    assert path.read_text() == want
+
+    def test_constructor_refuses_a_bitset_that_does_not_fit(self):
+        words = numset.new_words(100)
+        with pytest.raises(DomainError, match="uint64 words"):
+            NumberSet(words[:-1].copy(), 100)
+        words[0] = 1  # the integer 0
+        with pytest.raises(DomainError, match="outside"):
+            NumberSet(words, 100)
+        words = numset.new_words(100)
+        words[words.size >> 1] = 1 << 50  # 101
+        with pytest.raises(DomainError, match="outside"):
+            NumberSet(words, 100)
 
 
 class TestSetFile:
@@ -627,7 +751,7 @@ class TestBlockParsedLoad:
         path = tmp_path / "set.txt"
         save_set(ns, str(path), header_comments=["c"])
         loaded = load_set(str(path))
-        # the array is the one parsed into, trimmed in place to its elements
+        # the set keeps only its bitset; elements is a fresh read-only copy of it
         assert loaded.elements.flags.owndata and loaded.elements.size == 4
         assert not loaded.elements.flags.writeable
 

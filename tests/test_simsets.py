@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -154,6 +155,36 @@ class TestPerturbPrimes:
     def test_matches_sequential_reference_anywhere(self, limit, seed):
         assert perturb_primes(limit, seed).elements.tolist() == sequential_perturb(limit, seed)
 
+    @given(limit=st.integers(min_value=3, max_value=5000), seed=st.integers(0, 2**64 - 1))
+    @example(limit=389, seed=1)  # 127 and 131 in two blocks of 128 integers
+    @settings(max_examples=100, deadline=None)
+    def test_matches_sequential_reference_across_blocks(self, limit, seed):
+        # one-word blocks of 128 integers: a collision can span a block edge
+        want = sequential_perturb(limit, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numset, "BLOCK_WORDS", 16)
+            assert perturb_primes(limit, seed).elements.tolist() == want
+
+    @pytest.mark.parametrize(
+        "limit, seed, digest",
+        [
+            (10**6, 1, "aa33800ebf2f44a611dc321c7d3e7527d117bbf8b09f06f9fe0d546b2f135030"),
+            (10**6, 7, "f8d64191214a87d3dbfdadb72075bb5fc62c542d6cabce04e591002122ed3c84"),
+            (999_983, 2**63 + 5, "07b4ddd920e000a3e16f15357a19034d6ff7555ad38713bafb30a3df5c6a6650"),
+            (3_000_001, 11, "badde5b99712ce0833c39f4cae4dee00225206f8f843ecf459cbef57bc831d83"),
+        ],
+    )
+    def test_pinned_to_the_element_array_build(self, limit, seed, digest):
+        # sha256 of the int64 elements, as the in-place element-array version built them
+        got = hashlib.sha256(perturb_primes(limit, seed).elements.tobytes()).hexdigest()
+        assert got == digest
+
+    def test_given_primes_spare_the_sieve(self, monkeypatch):
+        primes = primes_up_to(10_000)
+        want = perturb_primes(10_000, 3)
+        monkeypatch.setattr(simsets, "primes_up_to", lambda limit: pytest.fail("sieved again"))
+        assert perturb_primes(10_000, 3, primes) == want
+
     def test_holds_no_full_size_temporaries(self):
         # the elements and the bitset, plus one sieve segment (+1.9 MiB measured)
         tracemalloc.start()
@@ -206,6 +237,32 @@ class TestShiftSet:
             tracemalloc.stop()
         assert ns.elements.tolist()[:3] == [5, 6, 8]
         assert peak <= ns.elements.nbytes + ns._words.nbytes + 2**20, peak
+
+    @given(
+        limit=st.integers(min_value=1, max_value=3000),
+        density=st.sampled_from([0.005, 0.3, 1.0]),
+        rng_seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_translated_elements(self, limit, density, rng_seed, data):
+        # the oracle is the element array plus t, on sets of either parity mix
+        flags = np.random.default_rng(rng_seed).random(limit) < density
+        elems = np.flatnonzero(flags).astype(np.int64) + 1
+        if not elems.size:
+            elems = np.array([limit])
+        t = data.draw(st.integers(1 - int(elems[0]), 400), label="t")
+        base = NumberSet.from_elements(elems, limit)
+        for block_words in (1, numset.BLOCK_WORDS):  # one-word blocks put block edges everywhere
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(numset, "BLOCK_WORDS", block_words)
+                out = shift_set(base, t)
+            assert out.limit == limit + t
+            assert out.elements.tolist() == (elems + t).tolist()
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(DomainError, match="empty"):
+            shift_set(NumberSet.from_elements([], 10), 1)
 
     def test_rank_identity_against_sieve(self):
         primes = primes_up_to(1000)
@@ -278,6 +335,25 @@ class TestSimilarity:
         ns, devs = deviation_series(primes_10k, primes_10k, points=50)
         assert ns.size <= 50
         assert not devs.any()
+
+
+class TestBitsetOnly:
+    def test_builders_and_writers_read_no_element_array(self, monkeypatch, tmp_path):
+        from primesim.checker import a_set, b_set
+        from primesim.numset import load_set
+
+        forbid = property(lambda self: pytest.fail("NumberSet.elements read"))
+        monkeypatch.setattr(NumberSet, "elements", forbid)
+        primes = primes_up_to(1_000_000)
+        ns = perturb_primes(1_000_000, 1, primes)
+        shifted = shift_set(primes, 3)
+        save_set(ns, str(tmp_path / "q.txt"))
+        assert load_set(str(tmp_path / "q.txt")) == ns
+        assert similarity(ns, primes).max_deviation <= 2
+        assert similarity(shifted, primes).max_deviation >= 1
+        deviation_series(ns, primes)
+        assert len(a_set(ns, 500_000)) == ns.rank(500_000)
+        assert len(b_set(ns, 500_000)) == ns.rank(999_999) - ns.rank(499_999)
 
 
 class TestSetSpec:
