@@ -72,18 +72,18 @@ class TestGenSet:
         assert "seed" in err
 
     def test_deviation_report_sieves_once(self, capsys, tmp_path, monkeypatch):
-        from primesim import cli, simsets
+        from primesim import numset
 
-        calls = []
-        for mod in (cli, simsets):
-            sieve = mod.primes_up_to
-            monkeypatch.setattr(mod, "primes_up_to", lambda limit, sieve=sieve: calls.append(limit) or sieve(limit))
+        # the sieve's one segment that ends at the limit, once per sieve to 10^5
+        ends = []
+        segment = numset._sieve_segment
+        monkeypatch.setattr(numset, "_sieve_segment", lambda lo, hi, base: ends.append(hi) or segment(lo, hi, base))
         code, _, _ = run_cli(
             capsys,
             "gen-set", "--kind", "perturbed", "--limit", "100000", "--seed", "7",
             "--out", str(tmp_path / "q.txt"), "--deviation-report", str(tmp_path / "dev.json"),
         )
-        assert code == 0 and calls == [100_000]
+        assert code == 0 and ends.count(100_001) == 1
 
     def test_deviation_report(self, capsys, tmp_path):
         out = tmp_path / "q.txt"
