@@ -326,13 +326,14 @@ def progression_counts(setQ: NumberSet, e0: int, step: int, n: int) -> np.ndarra
     if n < 1:
         raise DomainError("n must be >= 1")
     _validate_even(setQ, e0 + step * (n - 1))
-    need = _count_bytes(setQ, e0, step, n)
+    layouts = [_layout(setQ.parity_class(c), e0 - 2 * c, step, n) for c in (0, 1)]
+    need = _count_bytes(layouts, n)
     if need > COUNT_BUDGET:
         raise DomainError(
             f"counting at step {step} needs about {need >> 20} MiB for {n} evens, "
             f"over the {COUNT_BUDGET >> 20} MiB budget"
         )
-    ordered = _ordered_counts(setQ, e0, step, n)
+    ordered = _ordered_counts(setQ, layouts, step, n)
     counts = np.empty(n, dtype=np.int64)
     np.rint(ordered, out=counts, casting="unsafe")
     ordered -= counts
@@ -348,12 +349,14 @@ def progression_counts(setQ: NumberSet, e0: int, step: int, n: int) -> np.ndarra
     return counts
 
 
-def _ordered_counts(setQ: NumberSet, e0: int, step: int, n: int) -> np.ndarray:
-    """Ordered pair counts of e0 + step * k, k < n, as the floats the inverse FFTs give."""
+def _ordered_counts(setQ: NumberSet, layouts: list[tuple[int, ...] | None], step: int, n: int) -> np.ndarray:
+    """Ordered pair counts of e0 + step * k, k < n, as the floats the inverse FFTs give.
+
+    layouts[c] is class c's _layout for those evens, which carries e0.
+    """
     ordered = np.zeros(n)
     h = step >> 1
-    for c in (0, 1):
-        layout = _layout(setQ.parity_class(c), e0 - 2 * c, step, n)
+    for c, layout in enumerate(layouts):
         if layout is None:
             continue
         a_lo, rows, t, base, size, width, span, j_lo, j_hi = layout[:-1]
@@ -482,9 +485,8 @@ def _layout(parity: ParityClass, e0: int, step: int, n: int) -> tuple[int, ...] 
     return a_lo, rows, t, base, size, width, span, j_lo, j_hi, need
 
 
-def _count_bytes(setQ: NumberSet, e0: int, step: int, n: int) -> int:
-    """Upper estimate of the bytes progression_counts holds at once."""
-    layouts = [_layout(setQ.parity_class(c), e0 - 2 * c, step, n) for c in (0, 1)]
+def _count_bytes(layouts: list[tuple[int, ...] | None], n: int) -> int:
+    """Upper estimate of the bytes progression_counts holds at once for n evens, from both classes' _layout."""
     # one class at a time, the float and the integer counts, 64 KiB for small arrays
     return max((layout[-1] for layout in layouts if layout), default=0) + 16 * n + (1 << 16)
 

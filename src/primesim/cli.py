@@ -1,10 +1,13 @@
 """Command-line front end: reproducible experiment runs with persisted reports.
 
 Exit status: 0 on success, 1 when a check run finds failures at or above
-the --allow-below threshold, 2 on usage or input errors. Each argparse
-dest is named after the report-header key it fills, so one table,
-_HEADER_KEYS, decides which parsed arguments every report of a command
-embeds, next to the resolved set spec and the tool version.
+the --allow-below threshold, 2 on usage or input errors, 3 when a numeric
+self-check fails: the FFT counts' rounding residual or their pair_count
+spot-check (ArithmeticError), or the tail integrand's monotonicity
+(RuntimeError). Each argparse dest is named after the report-header key
+it fills, so one table, _HEADER_KEYS, decides which parsed arguments
+every report of a command embeds, next to the resolved set spec and the
+tool version.
 """
 
 from __future__ import annotations
@@ -283,7 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hi", type=int, required=True)
     p.add_argument("--allow-below", type=int, default=42,
                    help="failures below this even number do not affect exit status")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted (at least 1) and has no effect: the check runs in one thread, and only "
+                        "the counts' transforms use a second CPU when there is one")
     p.add_argument("--bucket-width", type=int, default=BUCKET_WIDTH,
                    help="width of the report's buckets, a reporting choice that leaves the check's work "
                         "alone; at most 10,000 buckets (exit 2 past that)")
@@ -334,6 +339,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"primesim {args.command}: {exc}", file=sys.stderr)
         return 2
+    except (ArithmeticError, RuntimeError) as exc:
+        print(f"primesim {args.command}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -11,12 +11,10 @@ Elements are read off the bitset when asked for. blocks() yields them in
 sorted blocks from either end: a block is one unpackbits per class of
 up to BLOCK_WORDS / 16 words, interleaved so that the flags fall in
 integer order; for a reader that stops after a few elements, blocks
-start at one word per class and double. rank() and rank_many()
-read a rank directory, the classic structure of cumulative popcounts
-(Jacobson 1989), here Vigna's rank9 (2008): per 8 words, the ones before
-them and before each of them, a quarter of the bitset's size, built on
-first use, so a check never builds it. `elements` is an explicit sorted
-copy, for tests and small sets.
+start at one word per class and double. rank_many() answers a batch of
+rank queries in one pass of block popcounts over the words below its
+largest query; the set keeps no rank index. `elements` is an explicit
+sorted copy, for tests and small sets.
 
 primes_up_to sieves segment by segment straight into the odd class's
 words. The module also owns the shared on-disk set format (its reader,
@@ -48,7 +46,7 @@ _U64 = np.uint64
 
 # words (or elements) per block in the passes that would otherwise hold
 # full-size temporaries: the largest element block, packing a bitset from
-# elements, shifting a set, the rank directory
+# elements, shifting a set, a rank pass
 BLOCK_WORDS = 1 << 14
 
 # masks and shifts that swap a word's adjacent bits, bit pairs and nibbles:
@@ -68,7 +66,7 @@ class NumberSet:
     sorted elements.
     """
 
-    __slots__ = ("limit", "_words", "_classes", "_directory")
+    __slots__ = ("limit", "_words", "_classes")
 
     def __init__(self, words: np.ndarray, limit: int):
         half = (limit >> 7) + 1
@@ -83,7 +81,6 @@ class NumberSet:
         self.limit = int(limit)
         self._words = words
         self._classes = classes
-        self._directory: np.ndarray | None = None
 
     @classmethod
     def from_elements(
@@ -214,11 +211,12 @@ class NumberSet:
     def rank_many(self, ns: np.ndarray) -> np.ndarray:
         """Number of elements <= n for each n of an int array; n is clamped to [0, limit].
 
-        Even members 2i <= n are class-0 bits below n // 2 + 1, odd ones
-        2i + 1 <= n class-1 bits below (n + 1) // 2, and class 1 starts at
-        bit T = 64 * (words in a class), so rank(n) = below(n // 2 + 1) +
-        below(T + (n + 1) // 2) - below(T), below(p) counting the bitset's
-        ones under position p.
+        Each call is one pass over the bitset up to its largest query, so a
+        caller batches its queries into one call. Even members 2i <= n are
+        class-0 bits below n // 2 + 1, odd ones 2i + 1 <= n class-1 bits
+        below (n + 1) // 2, and class 1 starts at bit T = 64 * (words in a
+        class), so rank(n) = below(n // 2 + 1) + below(T + (n + 1) // 2) -
+        below(T), below(p) counting the bitset's ones under position p.
         """
         ns = np.clip(np.asarray(ns, dtype=np.int64), 0, self.limit)
         class_bits = self._words.size << 5
@@ -227,44 +225,30 @@ class NumberSet:
         return below[: ns.size] + below[ns.size : -1] - below[-1]
 
     def _ones_below(self, pos: np.ndarray) -> np.ndarray:
-        """Ones of the bitset at bit positions below each p of pos, 0 <= p <= 64 * words.
+        """Ones of the bitset at bit positions below each p of pos, 0 <= p <= 64 * words; pos is not empty.
 
-        Word w = p >> 6 is word w & 7 of superblock w >> 3: the directory
-        gives the ones before the superblock and before that word in it,
-        and the word's own bits below p are popcounted.
+        p counts the ones before its word w = p >> 6 and its word's own bits
+        below p. One pass reads the words up to the largest w, BLOCK_WORDS
+        at a time: a block's cumulative popcount gives the ones before each
+        of its words and before the word past it, so the last block read
+        also answers w = words, the position at the bitset's end.
         """
-        if self._directory is None:
-            self._directory = _rank_directory(self._words)
+        words = self._words
         w = pos >> 6
-        entry = self._directory[w >> 3]
-        j = (w & 7).astype(np.uint64)
-        # the ones before word j of the superblock, 9 bits each from j = 1
-        inner = (entry[:, 1].view(np.uint64) >> (_U64(9) * j - _U64(9)) % _U64(64)) & _U64(511)
-        out = entry[:, 0] + np.where(j > 0, inner, _U64(0)).view(np.int64)
-        word = self._words[np.minimum(w, self._words.size - 1)]
-        out += np.bitwise_count(word & ((_ONE << (pos & 63).astype(np.uint64)) - _ONE))
+        own = words[np.minimum(w, words.size - 1)] & ((_ONE << (pos & 63).astype(np.uint64)) - _ONE)
+        out = np.bitwise_count(own).astype(np.int64)
+        order = np.argsort(w)
+        w = w[order]
+        last = min(int(w[-1]), words.size - 1)
+        done, carry = 0, 0
+        for k in range(0, last + 1, BLOCK_WORDS):
+            block = words[k : k + BLOCK_WORDS]
+            before = np.zeros(block.size + 1, dtype=np.int64)  # ones before word k + j
+            np.cumsum(np.bitwise_count(block), dtype=np.int64, out=before[1:])
+            stop = w.size if k + BLOCK_WORDS > last else int(w.searchsorted(k + BLOCK_WORDS))
+            out[order[done:stop]] += carry + before[w[done:stop] - k]
+            done, carry = stop, carry + int(before[-1])
         return out
-
-
-def _rank_directory(words: np.ndarray) -> np.ndarray:
-    """Vigna's rank9 directory of words, read-only: one row per 8-word superblock, and one past the last.
-
-    Row k holds the ones in words[:8k] and, in 9-bit fields, the ones in
-    words[8k : 8k + j] for j = 1 .. 7: 16 bytes per 64 bytes of bitset.
-    """
-    out = np.zeros((-(-words.size // 8) + 1, 2), dtype=np.int64)
-    step = max(8, BLOCK_WORDS & ~7)
-    for k in range(0, words.size, step):
-        block = words[k : k + step]
-        counts = np.zeros(-(-block.size // 8) * 8, dtype=np.int64)
-        counts[: block.size] = np.bitwise_count(block)
-        counts = counts.reshape(-1, 8)
-        rows = slice(k >> 3, (k >> 3) + counts.shape[0])
-        out[rows, 1] = (np.cumsum(counts[:, :7], axis=1) << np.arange(0, 63, 9)).sum(axis=1)
-        out[rows.start + 1 : rows.stop + 1, 0] = counts.sum(axis=1)
-    np.cumsum(out[:, 0], out=out[:, 0])
-    out.flags.writeable = False
-    return out
 
 
 def new_words(limit: int) -> np.ndarray:

@@ -1,7 +1,19 @@
+import threading
+
 import numpy as np
 import pytest
 
 from primesim.numset import NumberSet, primes_up_to
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fails any test that leaves alive a thread that was not alive before it."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [thread for thread in threading.enumerate() if thread not in before]
+    if leaked:
+        pytest.fail(f"threads left alive: {leaked}")
 
 
 def trial_division_primes(limit: int) -> list[int]:

@@ -43,6 +43,11 @@ def brute_force_count(members: set[int], even2n: int) -> int:
     return sum(1 for q in members if 2 * q <= even2n and (even2n - q) in members)
 
 
+def layouts(ns: NumberSet, e0: int, step: int, n: int) -> list:
+    """Both classes' count layouts for the evens e0 + step * k, k < n, as progression_counts derives them."""
+    return [checker._layout(ns.parity_class(c), e0 - 2 * c, step, n) for c in (0, 1)]
+
+
 def floats_by_cpus(ns: NumberSet, e0: int, step: int, n: int, block_bytes: int) -> list[np.ndarray]:
     """The counts' floats before rounding with one CPU and with two, at the given block size."""
     out = []
@@ -50,7 +55,7 @@ def floats_by_cpus(ns: NumberSet, e0: int, step: int, n: int, block_bytes: int) 
         mp.setattr(checker, "_BLOCK_BYTES", block_bytes)
         for cpus in (1, 2):
             mp.setattr(checker, "_cpus", lambda: cpus)
-            out.append(checker._ordered_counts(ns, e0, step, n))
+            out.append(checker._ordered_counts(ns, layouts(ns, e0, step, n), step, n))
     return out
 
 
@@ -702,7 +707,7 @@ class TestProgressionCounts:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= min(checker._count_bytes(ns, 4, 2000, n), 2 * 2**20), peak
+        assert peak <= min(checker._count_bytes(layouts(ns, 4, 2000, n), n), 2 * 2**20), peak
         assert counts[-1] == pair_count(ns, 4 + 2000 * (n - 1))
         assert COUNT_BUDGET == 2**30
 
@@ -711,7 +716,8 @@ class TestProgressionCounts:
         # no worker shares: its estimate holds one thread's buffers, about 625
         # MiB at 10^7, within the budget (two threads' would be about 1170 MiB)
         ns = primes_up_to(10_000_000)
-        assert checker._count_bytes(ns, 4, 2, (10_000_000 - 4) // 2 + 1) < 700 * 2**20 < COUNT_BUDGET
+        n = (10_000_000 - 4) // 2 + 1
+        assert checker._count_bytes(layouts(ns, 4, 2, n), n) < 700 * 2**20 < COUNT_BUDGET
 
 
 class TestMinimalRepresentations:

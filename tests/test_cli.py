@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import primesim
-from primesim import cli
+from primesim import checker, cli
 from primesim.cli import PROB_MAX_C_PMAX, PROB_MAX_N, PROB_MAX_ROWS, main
 from primesim.numset import NumberSet, load_set, save_set
 from primesim.reports import document, dump_json, load_json, table_csv
@@ -127,6 +127,30 @@ class TestCheck:
         assert code == 1  # failures at 42+ with default --allow-below 42
         code, out, _ = run_cli(capsys, *args, "--allow-below", "200")
         assert code == 0
+
+    def test_failed_precision_guard_exits_3(self, tmp_path):
+        # the FFT counts pushed 0.3 off an integer trip the residual guard
+        env = dict(os.environ, PYTHONPATH=str(Path(primesim.__file__).parents[1]))
+        forced = ("import sys, numpy as np; irfft = np.fft.irfft; "
+                  "np.fft.irfft = lambda *args: irfft(*args) + 0.3; "
+                  "from primesim.cli import main; sys.exit(main(sys.argv[1:]))")
+        argv = ["check", "--set", "primes", "--limit", "10000", "--lo", "4", "--hi", "10000"]
+        proc = subprocess.run(
+            [sys.executable, "-c", forced, *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path, check=False, timeout=60,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("primesim check:") and "off an integer" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_spot_check_mismatch_exits_3(self, capsys, monkeypatch):
+        wrong = checker.pair_count
+        monkeypatch.setattr(checker, "pair_count", lambda setQ, even: wrong(setQ, even) + 1)
+        code, out, err = run_cli(capsys, "check", "--set", "primes", "--limit", "10000", "--lo", "4", "--hi", "10000")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("primesim check:") and "pair_count gives" in err
 
     def test_spec_file_input(self, capsys, tmp_path):
         spec_path = tmp_path / "spec.txt"

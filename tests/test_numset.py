@@ -361,6 +361,24 @@ class TestBitsetReads:
             queries = np.arange(0, limit + 1)
             assert ns.rank_many(queries).tolist() == np.searchsorted(elems, queries, side="right").tolist()
 
+    @pytest.mark.parametrize("block_words", [1, 7, numset.BLOCK_WORDS])
+    @pytest.mark.parametrize("limit", [1, 2, 127, 128, 129, 2**20 - 1])
+    def test_one_pass_rank_edges(self, monkeypatch, limit, block_words):
+        # at 2^20 - 1 the bitset is exactly one block of 2^14 words, and
+        # rank(limit) reads position 64 * words, one past the last word
+        rng = np.random.default_rng(limit)
+        ns = NumberSet.from_elements(np.flatnonzero(rng.random(limit) < 0.5) + 1, limit)
+        elems = ns.elements
+        monkeypatch.setattr(numset, "BLOCK_WORDS", block_words)
+        queries = rng.integers(-5, limit + 6, 300)  # unsorted and, at the small limits, repeated
+        queries = np.concatenate([queries, [limit, -(2**40), 2**40, limit, 0], queries[::-1]])
+        want = np.searchsorted(elems, np.clip(queries, 0, limit), side="right")
+        assert ns.rank_many(queries).tolist() == want.tolist()
+        assert ns.rank_many(np.array([], dtype=np.int64)).tolist() == []
+        inside = queries[(queries >= 0) & (queries <= limit)][:8]
+        assert [ns.rank(int(n)) for n in inside] == np.searchsorted(elems, inside, side="right").tolist()
+        assert ns.rank(limit) == elems.size
+
     @given(case=bitset_cases(), data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_blocks_match_the_element_array(self, case, data):
