@@ -342,7 +342,7 @@ class TestBitsetReads:
     @settings(max_examples=150, deadline=None)
     def test_rank_matches_searchsorted(self, case):
         limit, elems = case
-        for block_words in (8, 16, numset.BLOCK_WORDS):  # directory blocks of one and two superblocks
+        for block_words in (8, 16, numset.BLOCK_WORDS):  # rank passes of many blocks, and of one
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(numset, "BLOCK_WORDS", block_words)
                 ns = NumberSet.from_elements(elems, limit)
