@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import astuple
+from dataclasses import asdict, astuple
 
 from . import __version__
 from .checker import BUCKET_WIDTH, SAMPLE_STRIDE, a_set, b_set, check_range, disjoint, find_representation, validate_layout
@@ -23,7 +23,7 @@ from .errors import DomainError
 from .numset import primes_up_to, save_set
 from .probmodel import coefficient_c, model_table, tail_integral
 from .reports import document, plot_series_from_report, table_csv
-from .simsets import KINDS, SetSpec, build, deviation_series, similarity
+from .simsets import KINDS, SetSpec, build, similarity
 
 # The inline flag of each SetSpec field but kind: (flag, type, help).
 _SET_FLAGS = {
@@ -132,31 +132,26 @@ def _run_gen_set(args: argparse.Namespace) -> int:
     if args.deviation_report:
         if primes is None:
             primes = primes_up_to(min(ns.limit, spec.limit or ns.limit))
-        report = similarity(ns, primes)
-        grid, devs = deviation_series(ns, primes)
-        text = document(
-            _header(args),
-            spec=args.spec.to_dict(),
-            max_deviation=report.max_deviation,
-            bound_c=report.bound_c,
-            samples=report.samples,
-            witness_n=report.witness_n,
-            series=[[int(n), int(d)] for n, d in zip(grid, devs)],
-        )
         with open(args.deviation_report, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(document(_header(args), spec=args.spec.to_dict(), **asdict(similarity(ns, primes))))
     return 0
 
 
 def _run_check(args: argparse.Namespace) -> int:
     layout = {"workers": args.workers, "bucket_width": args.bucket_width, "sample_stride": args.sample_stride}
-    try:
-        validate_layout(args.lo, args.hi, **layout)  # before the set is built
-    except DomainError as exc:
-        # name the flag the user typed, not the check_range keyword
-        key, _, rest = str(exc).partition(" ")
-        raise DomainError(f"--{key.replace('_', '-')} {rest}" if key in layout else str(exc)) from None
-    report = check_range(build(_valid_spec(args)), args.lo, args.hi, **layout)
+
+    def flagged(run, *where):
+        """run(*where, **layout), its refusal naming the flags the user typed, not the keywords."""
+        try:
+            return run(*where, **layout)
+        except DomainError as exc:
+            text = str(exc)
+            for key in layout:
+                text = text.replace(key, f"--{key.replace('_', '-')}")
+            raise DomainError(text) from None
+
+    flagged(validate_layout, args.lo, args.hi)  # before the set is built
+    report = flagged(check_range, build(_valid_spec(args)), args.lo, args.hi)
     rows = [astuple(b) for b in report.buckets]
     if args.fmt == "csv":
         _emit(args, table_csv(_header_lines(args), BUCKET_COLUMNS, rows))

@@ -13,8 +13,8 @@ up to BLOCK_WORDS / 16 words, interleaved so that the flags fall in
 integer order; for a reader that stops after a few elements, blocks
 start at one word per class and double. rank_many() answers a batch of
 rank queries in one pass of block popcounts over the words below its
-largest query; the set keeps no rank index. `elements` is an explicit
-sorted copy, for tests and small sets.
+largest query, and len() is the rank of limit; the set keeps no rank
+index. `elements` is an explicit sorted copy, for tests and small sets.
 
 primes_up_to sieves segment by segment straight into the odd class's
 words. The module also owns the shared on-disk set format (its reader,
@@ -182,8 +182,7 @@ class NumberSet:
         return np.empty(0, dtype=np.int64)
 
     def __len__(self) -> int:
-        words = self._words
-        return sum(int(np.bitwise_count(words[k : k + BLOCK_WORDS]).sum()) for k in range(0, words.size, BLOCK_WORDS))
+        return self.rank(self.limit)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NumberSet):

@@ -4,7 +4,9 @@ Three constructions: the primes themselves, the primes with every element
 nudged by +1 or -1 (keyed, reproducible randomness), and translated copies
 of a base set. Similarity between two sets is the largest gap between
 their rank functions over every n up to the smaller limit, found at the
-sets' own elements, the only places where the gap changes.
+sets' own elements, the only places where the gap changes. The same walk
+over both sets gives the gap at SERIES_POINTS grid points, the plot data
+of a deviation report.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ from .errors import DomainError
 from . import numset
 from .numset import NumberSet, load_set, primes_up_to
 
+
+# Points of the evenly spaced grid a SimilarityReport gives the gap at.
+SERIES_POINTS = 1000
 
 # The SetSpec fields each kind needs and the only ones it takes; builders check the least limits.
 KINDS = {"primes": ("limit",), "perturbed": ("limit", "seed"), "shifted": ("limit", "shift_t"), "file": ("path",)}
@@ -84,12 +89,17 @@ class SetSpec:
 
 @dataclass(frozen=True)
 class SimilarityReport:
-    """Largest observed rank gap between two sets and the similarity bound."""
+    """Largest rank gap between two sets, its witness, the similarity bound, and the gap along a grid.
+
+    The fields are in a deviation report's key order; series holds the
+    (n, gap) pairs at up to SERIES_POINTS evenly spaced n.
+    """
 
     max_deviation: int
     bound_c: int
     samples: int
     witness_n: int
+    series: tuple[tuple[int, int], ...]
 
 
 def perturb_primes(limit: int, seed: int, primes: NumberSet | None = None) -> NumberSet:
@@ -152,21 +162,24 @@ def shift_set(base: NumberSet, t: int) -> NumberSet:
 
 
 def similarity(setQ: NumberSet, setP: NumberSet) -> SimilarityReport:
-    """Max of |rank_Q(n) - rank_P(n)| over every n in [1, min(limits)].
+    """Max of |rank_Q(n) - rank_P(n)| over every n in [1, min(limits)], and the gap along a grid.
 
     The gap is 0 below both sets' first elements and changes only at an
     element of either set, so it is evaluated there alone. Both sets are
     read in step, a window of integers at a time: the k-th element of one
     set in the window has rank k plus the elements before the window, and
     the other set's rank there is its count before the window plus a
-    search in its own window. The witness is the smallest n reaching the
-    maximum (1 when the sets agree); the similarity bound constant is max
-    deviation + 1.
+    search in its own window. A grid point's two ranks are read the same
+    way, by a search in each set's window. The witness is the smallest n
+    reaching the maximum (1 when the sets agree); the similarity bound
+    constant is max deviation + 1. The grid is SERIES_POINTS integers
+    spaced evenly from 1 to min(limits), or every n when there are fewer.
     """
     common = min(setQ.limit, setP.limit)
     if common < 1:
         raise DomainError("sets share no evaluable range")
-    best, witness = 0, 1
+    grid = np.unique(np.linspace(1, common, num=min(SERIES_POINTS, common), dtype=np.int64))
+    best, witness, gaps = 0, 1, []
     before = [0, 0]  # elements of each set below the window
     span = 8 * numset.BLOCK_WORDS  # the integers of one block of each set
     for lo in range(0, common + 1, span):
@@ -183,22 +196,12 @@ def similarity(setQ: NumberSet, setP: NumberSet) -> SimilarityReport:
             # on a tie the smaller element is the witness
             if (int(dev[i]), witness) > (best, int(xs[i])):
                 best, witness = int(dev[i]), int(xs[i])
+        at = grid[grid.searchsorted(lo) : grid.searchsorted(lo + span)]  # the grid in the window
+        q, p = (b + w.searchsorted(at, side="right") for b, w in zip(before, window))
+        gaps.append(np.abs(q - p))
         before = [before[c] + window[c].size for c in (0, 1)]
-    return SimilarityReport(
-        max_deviation=best, bound_c=best + 1, samples=common, witness_n=witness
-    )
-
-
-def deviation_series(
-    setQ: NumberSet, setP: NumberSet, points: int = 1000
-) -> tuple[np.ndarray, np.ndarray]:
-    """Thinned (n, |rank_Q - rank_P|) series for plot data."""
-    common = min(setQ.limit, setP.limit)
-    if common < 1:
-        raise DomainError("sets share no evaluable range")
-    grid = np.unique(np.linspace(1, common, num=min(points, common), dtype=np.int64))
-    dev = np.abs(setQ.rank_many(grid) - setP.rank_many(grid))
-    return grid, dev
+    series = tuple(zip(grid.tolist(), np.concatenate(gaps).tolist()))
+    return SimilarityReport(max_deviation=best, bound_c=best + 1, samples=common, witness_n=witness, series=series)
 
 
 def build(spec: SetSpec, primes: NumberSet | None = None) -> NumberSet:

@@ -224,6 +224,19 @@ class TestCheck:
         assert code == 2 and out == ""
         assert err.startswith("primesim check: counting at step 2") and "1024 MiB budget" in err
 
+    def test_count_refusal_names_the_flags(self, capsys, monkeypatch):
+        # the 3e7 refusal above, at 2e4 under a 1 MiB budget: its hint names the layout
+        monkeypatch.setattr(checker, "COUNT_BUDGET", 1 << 20)
+        code, out, err = run_cli(
+            capsys, "check", "--set", "primes", "--limit", "20000", "--lo", "4", "--hi", "20000",
+            "--sample-stride", "1",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("primesim check: counting at step 2") and "1 MiB budget" in err
+        assert "gcd(2 * --sample-stride, --bucket-width)" in err
+        bare = err.replace("--sample-stride", "").replace("--bucket-width", "").replace("--workers", "")
+        assert not any(key in bare for key in ("sample_stride", "bucket_width", "workers")), err
+
     def test_bucket_count_over_the_cap_is_an_input_error(self, capsys):
         # 499,999 buckets of one even each: refused before any count or sweep
         t0 = time.perf_counter()
@@ -655,6 +668,18 @@ class TestUsageErrors:
 
 
 class TestModuleEntryPoint:
+    def test_check_never_imports_the_set_file_reader(self):
+        # load_set imports _setfile on first use; a check of an inline set reads no set file
+        code = (
+            "import sys, primesim; seen = ['primesim._setfile' in sys.modules]; "
+            "from primesim import cli; "
+            "cli.main(['check', '--set', 'primes', '--limit', '2000', '--lo', '4', '--hi', '2000']); "
+            "print(seen + ['primesim._setfile' in sys.modules], file=sys.stderr)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(primesim.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=False)
+        assert proc.returncode == 0 and proc.stderr == "[False, False]\n", proc.stderr
+
     def test_python_dash_m_runs_main(self, capsys, tmp_path):
         env = dict(os.environ, PYTHONPATH=str(Path(primesim.__file__).parents[1]))
         argv = ["prob", "--n", "10000", "--pmax", "2"]

@@ -91,6 +91,10 @@ class TestPrimesUpTo:
             tracemalloc.stop()
         assert peak <= ns._words.nbytes + numset.SEGMENT_SIZE // 2 + 2**18, peak
 
+    def test_len_is_the_popcount(self):
+        ns = primes_up_to(10_000_000)
+        assert len(ns) == int(np.bitwise_count(ns._words).sum()) == 664_579
+
     def test_prime_count_at_2e8(self):
         # pinned once against an independent prime-counting implementation
         ns = primes_up_to(200_000_000)
@@ -113,7 +117,7 @@ class TestNumberSet:
 
     def test_rank_bounds(self, primes_10k):
         assert primes_10k.rank(0) == 0
-        assert primes_10k.rank(primes_10k.limit) == len(primes_10k)
+        assert primes_10k.rank(primes_10k.limit) == len(primes_10k) == 1229
         with pytest.raises(DomainError):
             primes_10k.rank(primes_10k.limit + 1)
         with pytest.raises(DomainError):

@@ -16,7 +16,6 @@ from primesim.simsets import (
     SetSpec,
     SimilarityReport,
     build,
-    deviation_series,
     perturb_primes,
     shift_set,
     similarity,
@@ -50,7 +49,7 @@ def sequential_perturb(limit: int, seed: int) -> list[int]:
 
 
 def brute_similarity(setQ: NumberSet, setP: NumberSet) -> SimilarityReport:
-    """Reference similarity: cumulative membership counts over every n."""
+    """Reference similarity: cumulative membership counts over every n, read at the grid for the series."""
     common = min(setQ.limit, setP.limit)
     q, p = set(setQ.elements.tolist()), set(setP.elements.tolist())
     devs = []
@@ -60,8 +59,13 @@ def brute_similarity(setQ: NumberSet, setP: NumberSet) -> SimilarityReport:
         rank_p += n in p
         devs.append(abs(rank_q - rank_p))
     best = max(devs)
+    grid = sorted(set(np.linspace(1, common, num=min(simsets.SERIES_POINTS, common), dtype=np.int64).tolist()))
     return SimilarityReport(
-        max_deviation=best, bound_c=best + 1, samples=common, witness_n=devs.index(best) + 1
+        max_deviation=best,
+        bound_c=best + 1,
+        samples=common,
+        witness_n=devs.index(best) + 1,
+        series=tuple((n, devs[n - 1]) for n in grid),
     )
 
 
@@ -314,10 +318,22 @@ class TestSimilarity:
     @example(pair=small_pair([2, 10], [5]))
     @settings(max_examples=150, deadline=None)
     def test_matches_brute_force(self, block_words, pair):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(numset, "BLOCK_WORDS", block_words)
-            for setQ, setP in (pair, pair[::-1]):
-                assert similarity(setQ, setP) == brute_similarity(setQ, setP)
+        # a grid of every n, and one thinner than the range
+        for points in (simsets.SERIES_POINTS, 7):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(numset, "BLOCK_WORDS", block_words)
+                mp.setattr(simsets, "SERIES_POINTS", points)
+                for setQ, setP in (pair, pair[::-1]):
+                    assert similarity(setQ, setP) == brute_similarity(setQ, setP)
+
+    def test_series_matches_rank_many(self):
+        # many windows, and grid points that fall between elements
+        setQ, setP = perturb_primes(10**6, 1), perturb_primes(10**6, 4)
+        series = np.array(similarity(setQ, setP).series)
+        grid = np.unique(np.linspace(1, 10**6 + 1, num=simsets.SERIES_POINTS, dtype=np.int64))
+        assert series[:, 0].tolist() == grid.tolist()
+        assert series[:, 1].tolist() == np.abs(setQ.rank_many(grid) - setP.rank_many(grid)).tolist()
+        assert series[:, 1].any()
 
     def test_heap_peak_stays_small(self):
         # blocks of elements only: nothing sized by the limit or the sets
@@ -331,8 +347,9 @@ class TestSimilarity:
             tracemalloc.stop()
         assert peak <= 2**20, peak
 
-    def test_deviation_series_thinning(self, primes_10k):
-        ns, devs = deviation_series(primes_10k, primes_10k, points=50)
+    def test_deviation_series_thinning(self, monkeypatch, primes_10k):
+        monkeypatch.setattr(simsets, "SERIES_POINTS", 50)
+        ns, devs = np.array(similarity(primes_10k, primes_10k).series).T
         assert ns.size <= 50
         assert not devs.any()
 
@@ -351,7 +368,7 @@ class TestBitsetOnly:
         assert load_set(str(tmp_path / "q.txt")) == ns
         assert similarity(ns, primes).max_deviation <= 2
         assert similarity(shifted, primes).max_deviation >= 1
-        deviation_series(ns, primes)
+        assert len(similarity(ns, primes).series) == simsets.SERIES_POINTS
         assert len(a_set(ns, 500_000)) == ns.rank(500_000)
         assert len(b_set(ns, 500_000)) == ns.rank(999_999) - ns.rank(499_999)
 
