@@ -24,7 +24,7 @@ progression at once: they are a decimated autoconvolution of the class,
 which the polyphase split of multirate filtering (Vaidyanathan 1990) turns
 into one short FFT per column of the class laid out in rows of step / 2
 bits. Its transforms, which numpy runs without holding the interpreter
-lock, are split over two threads when the process may use two CPUs; the
+lock, are split over the calling thread and one worker thread; the
 sweep and the scan stay in the calling thread, where a pool of two threads
 over the chunks lost to one. check_range counts its sampled evens that
 way, recounts a few with pair_count, its oracle, and reduces them by bucket.
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -153,19 +152,16 @@ def _class_count(parity: ParityClass, s: int) -> int:
     below first i1 is no member, and below s - last its partner s - i1 is
     none. The window of those i1 is ANDed with the whole words of partners
     that end at s - i_lo, reversed so that bit j is s - i_lo - j, the
-    partner of i_lo + j, and popcounted. A one-member class pairs only at
-    s = 2 * first, the member with itself, so it reads no words.
+    partner of i_lo + j, and popcounted.
     """
     h = s >> 1
     i_lo = max(parity.first, s - parity.last)
     if i_lo > h:
         return 0
-    if parity.first == parity.last:
-        return 1
     B = extract_window(parity.words, i_lo, h)
     top = s - i_lo
     partners = extract_window(parity.words, top - 64 * B.size + 1, top)[::-1]
-    reverse_bits(partners, partners)
+    reverse_bits(partners)
     B &= partners
     return int(np.bitwise_count(B, out=B).sum())
 
@@ -216,8 +212,7 @@ def _minimal_q1(setQ: NumberSet, E: np.ndarray) -> np.ndarray:
     out = np.zeros(E.size, dtype=np.int64)
     split = int(E.searchsorted(setQ.limit + 1, side="right"))
     _scan(setQ._words, E[:split] >> 1, setQ.blocks(grow=True), 1, out[:split])
-    if split < E.size:
-        _scan(setQ._words, -(E[split:][::-1] >> 1), setQ.blocks(reverse=True, grow=True), -1, out[split:][::-1])
+    _scan(setQ._words, -(E[split:][::-1] >> 1), setQ.blocks(reverse=True, grow=True), -1, out[split:][::-1])
     return out
 
 
@@ -394,9 +389,7 @@ def _spectrum_sum(
         for q in range(0, cols.size, width):
             part = cols[q : q + width]
             spec = fft.rfft(left[part], size)
-            # a column paired with itself is transformed once
-            alone = part.size == 1 and 2 * (j + int(part[0])) == total
-            spec *= spec if alone else fft.rfft(right[part], size)
+            spec *= fft.rfft(right[part], size)
             np.multiply(spec, 2.0, out=spec, where=(2 * (j + part) != total)[:, None])
             acc += spec.sum(axis=0)
     return acc
@@ -405,16 +398,16 @@ def _spectrum_sum(
 def _sum_halves(args: tuple, blocks: range) -> np.ndarray:
     """_spectrum_sum(*args, the even-numbered blocks) + the same of the odd-numbered ones, in that order.
 
-    With two or more blocks and two CPUs, the odd-numbered ones are summed
-    by one worker thread while the caller sums the others; the worker is
+    With two or more blocks, the odd-numbered ones are summed by one
+    worker thread while the caller sums the others; the worker is
     joined before this returns or raises, and an exception it raised is
     raised again here. The split and the order of the addition do not
-    depend on the threads, so neither does the result.
+    depend on the threads, so neither does the result. One block is
+    summed alone: adding the empty sum, +0.0, changes no bit, since a
+    spectrum sum starts at +0.0 and so never holds -0.0.
     """
-    if len(blocks) < 2 or _cpus() < 2:
-        first = _spectrum_sum(*args, blocks[0::2])
-        first += _spectrum_sum(*args, blocks[1::2])
-        return first
+    if len(blocks) < 2:
+        return _spectrum_sum(*args, blocks)
     second: list[np.ndarray] = []
     errors: list[BaseException] = []
 
@@ -434,13 +427,6 @@ def _sum_halves(args: tuple, blocks: range) -> np.ndarray:
         raise errors[0]
     first += second[0]
     return first
-
-
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _layout(parity: ParityClass, e0: int, step: int, n: int) -> tuple[int, ...] | None:
@@ -565,7 +551,7 @@ def check_range(
     above limit + 1 go through the candidate scan, and the evens it cannot
     split are the failures. `workers` must be >= 1 and changes nothing: on
     a 2-vCPU host a pool of two threads over the chunks lost to one on the
-    primes to 2e7. Only the counts' transforms use a second CPU, inside
+    primes to 2e7. Only the counts' transforms use a worker thread, inside
     progression_counts.
     The buckets of bucket_width, at most MAX_BUCKETS, only summarise
     representation counts sampled 1-in-`sample_stride` evens per bucket (a
@@ -574,8 +560,8 @@ def check_range(
     pass counts them all, and each bucket's min and mean are reductions of
     that array. The count runs before the sweep, so a step whose count would
     not fit COUNT_BUDGET is refused before it, with a hint at a layout that
-    fits. SPOT_CHECKS of the sampled evens, the largest among them, are then
-    recounted by pair_count, and a mismatch raises.
+    fits. SPOT_CHECKS of the sampled evens, spread evenly from the first to
+    the last, are then recounted by pair_count, and a mismatch raises.
     """
     validate_layout(lo, hi, workers=workers, bucket_width=bucket_width, sample_stride=sample_stride)
     _validate_range(setQ, lo, hi)

@@ -105,7 +105,7 @@ def _spec_from_args(args: argparse.Namespace) -> SetSpec:
 
 
 def _valid_spec(args: argparse.Namespace) -> SetSpec:
-    """args.spec, validated, with a missing field named by its flag; a spec file was validated, by its keys, when read."""
+    """args.spec, validated, with a missing or extra field named by its flag; a spec file was validated, by its keys, when read."""
     args.spec.validate({field: flag for field, (flag, *_) in _SET_FLAGS.items()})
     return args.spec
 
@@ -124,6 +124,8 @@ def _run_gen_set(args: argparse.Namespace) -> int:
     # The report compares with the primes up to the spec's limit, the ones a
     # primes, perturbed or shifted set is built from, so one sieve serves
     # both. Below 3, build refuses the limit or sieves a few numbers itself.
+    # similarity reads n <= min(limits) only, so for a set of limit 1 the
+    # primes to 2 give the report against the primes to 1, the empty set.
     primes = None
     if args.deviation_report and spec.kind != "file" and spec.limit >= 3:
         primes = primes_up_to(spec.limit)
@@ -131,7 +133,7 @@ def _run_gen_set(args: argparse.Namespace) -> int:
     save_set(ns, args.out, header_comments=_header_lines(args))
     if args.deviation_report:
         if primes is None:
-            primes = primes_up_to(min(ns.limit, spec.limit or ns.limit))
+            primes = primes_up_to(max(2, min(ns.limit, spec.limit or ns.limit)))
         with open(args.deviation_report, "w", encoding="utf-8") as fh:
             fh.write(document(_header(args), spec=args.spec.to_dict(), **asdict(similarity(ns, primes))))
     return 0
@@ -283,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="failures below this even number do not affect exit status")
     p.add_argument("--workers", type=int, default=1,
                    help="accepted (at least 1) and has no effect: the check runs in one thread, and only "
-                        "the counts' transforms use a second CPU when there is one")
+                        "the counts' transforms use a second one")
     p.add_argument("--bucket-width", type=int, default=BUCKET_WIDTH,
                    help="width of the report's buckets, a reporting choice that leaves the check's work "
                         "alone; at most 10,000 buckets (exit 2 past that)")

@@ -280,9 +280,7 @@ class ParityClass:
     `words` is a read-only view of one half of the set's bitset. `first`
     and `last` are its smallest and largest member indices (0 and -1 when
     the class is empty), read off its first and last nonzero words, so a
-    count skips every index that has no partner, and a one-member class
-    (the primes' even class {2}, a perturbed set's lone odd element) is
-    counted without reading its words.
+    count skips every index that has no partner.
     """
 
     __slots__ = ("words", "first", "last")
@@ -297,17 +295,16 @@ class ParityClass:
         self.last = (w1 << 6) + high.bit_length() - 1 if low else -1
 
 
-def reverse_bits(out: np.ndarray, words: np.ndarray) -> None:
-    """Each uint64 word's bits in reverse order, into out; out may be words itself."""
-    out[:] = words
-    out.byteswap(inplace=True)
-    swapped = np.empty_like(out)
+def reverse_bits(words: np.ndarray) -> None:
+    """Reverses the bits of each uint64 word of words, in place."""
+    words.byteswap(inplace=True)
+    swapped = np.empty_like(words)
     for mask, shift in _SWAPS:
-        np.right_shift(out, shift, out=swapped)
+        np.right_shift(words, shift, out=swapped)
         swapped &= mask
-        out &= mask
-        out <<= shift
-        out |= swapped
+        words &= mask
+        words <<= shift
+        words |= swapped
 
 
 def bits_at(words: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -340,11 +337,9 @@ def extract_window(words: np.ndarray, a: int, b: int) -> np.ndarray:
                 np.zeros(need - pad_lo - src.size, dtype=np.uint64),
             ]
         )
-    if s == 0:
-        out = src[:nw_out].copy()
-    else:
-        out = src[:nw_out] >> _U64(s)
-        out |= src[1 : nw_out + 1] << _U64(64 - s)
+    # at s = 0 the second shift is by 64, which numpy defines as 0 on uint64
+    out = src[:nw_out] >> _U64(s)
+    out |= src[1 : nw_out + 1] << _U64(64 - s)
     r = length & 63
     if r:
         out[-1] &= _U64((1 << r) - 1)

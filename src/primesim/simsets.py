@@ -45,15 +45,16 @@ class SetSpec:
     path: str | None = None
 
     def validate(self, names: dict[str, str] | None = None) -> None:
-        """Refuse a spec its kind cannot build; a missing field is named by names[field], by default the field."""
+        """Refuse a spec its kind cannot build; a missing or extra field is named by names[field], by default the field."""
+        names = names or {}
         if self.kind not in KINDS:
             raise DomainError(f"unknown set kind {self.kind!r}")
         for name in KINDS[self.kind]:
             if getattr(self, name) in (None, ""):
-                raise DomainError(f"{self.kind} spec needs {(names or {}).get(name, name)}")
+                raise DomainError(f"{self.kind} spec needs {names.get(name, name)}")
         for f in fields(self)[1:]:  # every field but kind
             if f.name not in KINDS[self.kind] and getattr(self, f.name) is not None:
-                raise DomainError(f"{self.kind} spec takes no {f.name}")
+                raise DomainError(f"{self.kind} spec takes no {names.get(f.name, f.name)}")
         # shift_set would reject it only after the sieve
         if self.kind == "shifted" and self.shift_t < -1:
             raise DomainError("shift below 1 is out of domain (2 is the smallest prime)")

@@ -1,4 +1,5 @@
 import json
+import os
 import sys
 import threading
 import time
@@ -48,13 +49,23 @@ def layouts(ns: NumberSet, e0: int, step: int, n: int) -> list:
     return [checker._layout(ns.parity_class(c), e0 - 2 * c, step, n) for c in (0, 1)]
 
 
-def floats_by_cpus(ns: NumberSet, e0: int, step: int, n: int, block_bytes: int) -> list[np.ndarray]:
-    """The counts' floats before rounding with one CPU and with two, at the given block size."""
+class InlineThread(threading.Thread):
+    """A thread whose start() runs its target in the caller: put over threading.Thread, the counts run serially."""
+
+    def start(self) -> None:
+        self.run()
+
+    def join(self, timeout: float | None = None) -> None:
+        pass
+
+
+def floats_inline_and_threaded(ns: NumberSet, e0: int, step: int, n: int, block_bytes: int) -> list[np.ndarray]:
+    """The counts' floats before rounding with InlineThread, the serial reference, and with threads, at the given block size."""
     out = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(checker, "_BLOCK_BYTES", block_bytes)
-        for cpus in (1, 2):
-            mp.setattr(checker, "_cpus", lambda: cpus)
+        for thread in (InlineThread, threading.Thread):
+            mp.setattr(checker.threading, "Thread", thread)
             out.append(checker._ordered_counts(ns, layouts(ns, e0, step, n), step, n))
     return out
 
@@ -348,9 +359,8 @@ class TestCheckRange:
 
     def test_counts_start_at_most_one_thread(self, monkeypatch, primes_100k):
         # the buckets run in the calling thread, whatever `workers` says;
-        # the counts' transforms take one worker at a time when two CPUs
-        # are available, and none with one. Small blocks give every pass
-        # here more than one block, so it splits.
+        # the counts' transforms take one worker at a time. Small blocks
+        # give every pass here more than one block, so it splits.
         monkeypatch.setattr(checker, "_BLOCK_BYTES", 1 << 12)
         alive_at_start = []
         start = threading.Thread.start
@@ -360,11 +370,8 @@ class TestCheckRange:
             start(self)
 
         monkeypatch.setattr(threading.Thread, "start", counted)
-        monkeypatch.setattr(checker, "_cpus", lambda: 1)
-        base = check_range(primes_100k, 4, 100_000, bucket_width=10_000)
-        assert alive_at_start == []
-        monkeypatch.setattr(checker, "_cpus", lambda: 2)
         before = threading.active_count()
+        base = check_range(primes_100k, 4, 100_000, bucket_width=10_000)
         for workers in (1, 2, 7):
             report = check_range(primes_100k, 4, 100_000, workers=workers, bucket_width=10_000)
             assert (report.failures, report.buckets) == (base.failures, base.buckets)
@@ -605,7 +612,7 @@ class TestProgressionCounts:
         step = [2, 4, 6, 14, 2000][pick]
         e0 = 2 + 2 * int(start * (ns.limit - 1))
         n = (2 * ns.limit - e0) // step + 1
-        one, two = floats_by_cpus(ns, e0, step, n, block_bytes)
+        one, two = floats_inline_and_threaded(ns, e0, step, n, block_bytes)
         assert np.array_equal(one, two)
 
     @pytest.mark.parametrize("step", [2, 14, 2000])
@@ -615,20 +622,33 @@ class TestProgressionCounts:
         starts = []
         start = threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start", lambda self: starts.append(self) or start(self))
-        one, two = floats_by_cpus(ns, 4, step, n, 1 << 12)
+        one, two = floats_inline_and_threaded(ns, 4, step, n, 1 << 12)
         assert np.array_equal(one, two)
         # step 2 is one column, a single block; the others split
         assert bool(starts) == (step > 2)
         counts = []
-        for cpus in (1, 2):
-            monkeypatch.setattr(checker, "_cpus", lambda: cpus)
+        for thread in (InlineThread, threading.Thread):
+            monkeypatch.setattr(checker.threading, "Thread", thread)
             counts.append(progression_counts(ns, 4, step, n))
         assert np.array_equal(*counts)
         assert counts[0][-1] == pair_count(ns, 4 + step * (n - 1))
 
+    def test_one_cpu_still_starts_one_worker_per_split_pass(self, monkeypatch, primes_10k):
+        # the budget estimate counts two threads for a pass of two or more
+        # blocks, so such a pass starts its worker whatever the CPUs
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(checker, "_BLOCK_BYTES", 1 << 10)
+        passes, starts = [], []
+        sum_halves, start = checker._sum_halves, threading.Thread.start
+        monkeypatch.setattr(checker, "_sum_halves", lambda args, blocks: passes.append(len(blocks)) or sum_halves(args, blocks))
+        monkeypatch.setattr(threading.Thread, "start", lambda self: starts.append(self.name) or start(self))
+        counts = progression_counts(primes_10k, 4, 14, 1000)
+        assert counts.tolist() == [pair_count(primes_10k, 4 + 14 * k) for k in range(1000)]
+        split = [blocks for blocks in passes if blocks >= 2]
+        assert split and starts == ["progression-counts"] * len(split)
+
     def test_worker_error_reaches_the_caller(self, monkeypatch, primes_10k):
         monkeypatch.setattr(checker, "_BLOCK_BYTES", 1 << 10)
-        monkeypatch.setattr(checker, "_cpus", lambda: 2)
         rfft = np.fft.rfft
         workers = []
 
@@ -649,7 +669,6 @@ class TestProgressionCounts:
         # four callers on one set, each with its own worker: more threads
         # than cores, switching every microsecond
         monkeypatch.setattr(checker, "_BLOCK_BYTES", 1 << 10)
-        monkeypatch.setattr(checker, "_cpus", lambda: 2)
         expected = progression_counts(primes_10k, 4, 14, 1000)
         results = [None] * 4
 

@@ -99,6 +99,19 @@ class TestGenSet:
         assert doc["bound_c"] == doc["max_deviation"] + 1
         assert all(d <= 2 for _, d in doc["series"])
 
+    def test_deviation_report_of_a_limit_one_set(self, capsys, tmp_path):
+        # the report compares with the primes to 1, the empty set
+        (tmp_path / "one.txt").write_text("limit=1\n1\n")
+        out, dev = tmp_path / "o.txt", tmp_path / "d.json"
+        code, _, _ = run_cli(
+            capsys,
+            "gen-set", "--kind", "file", "--path", str(tmp_path / "one.txt"),
+            "--out", str(out), "--deviation-report", str(dev),
+        )
+        assert code == 0 and out.exists()
+        doc = load_json(str(dev))
+        assert (doc["max_deviation"], doc["witness_n"], doc["series"]) == (1, 1, [[1, 1]])
+
 
 class TestCheck:
     def test_primes_clean_run(self, capsys, tmp_path):
@@ -606,6 +619,15 @@ class TestUsageErrors:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"primesim {argv[0]}: {message}\n"
         assert not (tmp_path / "x.txt").exists()
+
+    def test_extra_field_is_named_by_its_flag_or_its_key(self, capsys, tmp_path):
+        argv = ["check", "--set", "primes", "--limit", "100", "--shift", "3", "--lo", "4", "--hi", "100"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "primesim check: primes spec takes no --shift\n"
+        spec = tmp_path / "set.spec"
+        spec.write_text("kind=primes\nlimit=100\nshift_t=3\n")
+        assert main(["check", "--set", str(spec), "--lo", "4", "--hi", "100"]) == 2
+        assert capsys.readouterr().err == "primesim check: primes spec takes no shift_t\n"
 
     def test_spec_file_names_the_missing_key(self, capsys, tmp_path):
         spec = tmp_path / "set.spec"

@@ -190,25 +190,28 @@ class TestNumberSet:
             assert ns.contains(x) == (x in reference)
 
 
+@st.composite
+def windows(draw) -> tuple[list[int], int, int]:
+    """Words of 1 to 12 uint64s and a window [a, b] that may start below bit 0 or end past the last word."""
+    n_words = draw(st.integers(min_value=1, max_value=12))
+    raw = draw(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=n_words, max_size=n_words))
+    total = 64 * n_words
+    a = draw(st.integers(min_value=-2 * total, max_value=total - 1))
+    return raw, a, draw(st.integers(min_value=a, max_value=total + 64))
+
+
 class TestBitWindows:
-    @given(
-        data=st.data(),
-        n_words=st.integers(min_value=1, max_value=12),
-    )
+    @given(case=windows())
     @settings(max_examples=150, deadline=None)
-    def test_windows_match_unpacked_bits(self, data, n_words):
-        raw = data.draw(
-            st.lists(
-                st.integers(min_value=0, max_value=2**64 - 1),
-                min_size=n_words,
-                max_size=n_words,
-            )
-        )
+    # windows at a word boundary, where a is a multiple of 64
+    @example(case=([2**64 - 1, 0x123456789ABCDEF0], 0, 127))
+    @example(case=([0xF0F0F0F0F0F0F0F0, 2**64 - 1, 1], 64, 250))
+    @example(case=([2**63 + 1, 7], -128, 70))
+    def test_windows_match_unpacked_bits(self, case):
+        raw, a, b = case
         words = np.array(raw, dtype=np.uint64)
-        total = 64 * n_words
-        # windows may start below bit 0 or end past the last word: those read 0
-        a = data.draw(st.integers(min_value=-2 * total, max_value=total - 1))
-        b = data.draw(st.integers(min_value=a, max_value=total + 64))
+        total = 64 * words.size
+        # positions below 0 or past the last word read 0
         bits = np.unpackbits(words.view(np.uint8), bitorder="little")
         zeros = np.zeros(2 * total, dtype=np.uint8)
         padded = np.concatenate([zeros, bits, zeros])[a + 2 * total : b + 2 * total + 1]
@@ -247,15 +250,15 @@ class TestBitWindows:
     def test_reverse_bits_matches_unpacked_bits(self, n_words):
         rng = np.random.default_rng(n_words)
         words = rng.integers(0, 2**64, size=n_words, dtype=np.uint64)
-        out = np.empty_like(words)
-        reverse_bits(out, words)
+        out = words.copy()
+        reverse_bits(out)
         # word k's bit b moves to bit 63 - b of word k
         want = unpacked(words).reshape(n_words, 64)[:, ::-1].ravel()
         assert np.array_equal(unpacked(out), want)
-        # in place on a reversed view: read through the view, the whole
-        # window reversed bit by bit
+        # on a reversed view: read through the view, the whole window
+        # reversed bit by bit
         view = words.copy()[::-1]
-        reverse_bits(view, view)
+        reverse_bits(view)
         assert np.array_equal(unpacked(np.ascontiguousarray(view)), unpacked(words)[::-1])
 
 

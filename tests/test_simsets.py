@@ -422,7 +422,7 @@ class TestSetSpec:
             SetSpec(kind, **{f: full[f] for f in (*KINDS[kind], field)}).validate()
         argv = [arg for f in (*KINDS[kind], field) for arg in (_FLAGS[f], str(full[f]))]
         assert main(["anb", "--set", kind, *argv, "--n", "5"]) == 2
-        assert capsys.readouterr().err.strip().endswith(f"{kind} spec takes no {field}")
+        assert capsys.readouterr().err.strip().endswith(f"{kind} spec takes no {_FLAGS[field]}")
 
     def test_validation(self):
         with pytest.raises(DomainError):
