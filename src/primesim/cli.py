@@ -124,8 +124,6 @@ def _run_gen_set(args: argparse.Namespace) -> int:
     # The report compares with the primes up to the spec's limit, the ones a
     # primes, perturbed or shifted set is built from, so one sieve serves
     # both. Below 3, build refuses the limit or sieves a few numbers itself.
-    # similarity reads n <= min(limits) only, so for a set of limit 1 the
-    # primes to 2 give the report against the primes to 1, the empty set.
     primes = None
     if args.deviation_report and spec.kind != "file" and spec.limit >= 3:
         primes = primes_up_to(spec.limit)
@@ -133,6 +131,7 @@ def _run_gen_set(args: argparse.Namespace) -> int:
     save_set(ns, args.out, header_comments=_header_lines(args))
     if args.deviation_report:
         if primes is None:
+            # similarity reads n <= min(limits), so for limit 1 the primes to 2 act as the primes to 1
             primes = primes_up_to(max(2, min(ns.limit, spec.limit or ns.limit)))
         with open(args.deviation_report, "w", encoding="utf-8") as fh:
             fh.write(document(_header(args), spec=args.spec.to_dict(), **asdict(similarity(ns, primes))))
