@@ -160,9 +160,9 @@ def _class_count(parity: ParityClass, s: int) -> int:
         return 0
     B = extract_window(parity.words, i_lo, h)
     top = s - i_lo
-    partners = extract_window(parity.words, top - 64 * B.size + 1, top)[::-1]
+    partners = extract_window(parity.words, top - 64 * B.size + 1, top)
     reverse_bits(partners)
-    B &= partners
+    B &= partners[::-1]
     return int(np.bitwise_count(B, out=B).sum())
 
 

@@ -37,7 +37,7 @@ _SET_FLAGS = {
 PROB_MAX_ROWS = 10_000
 # Largest row n of a prob table: one row at n = 1e9 takes about 0.6 s.
 PROB_MAX_N = 10**9
-# Largest --c-from-pmax: the exact product over primes to 1e5 takes about 0.4 s.
+# Largest --c-from-pmax: the exact product over primes to 1e5 takes about 0.12 s.
 PROB_MAX_C_PMAX = 100_000
 
 # Table columns in BucketStats and ModelRow field order; JSON rows use them as keys.

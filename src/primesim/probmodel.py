@@ -2,9 +2,9 @@
 
 Everything is carried in natural-log space end to end: the quantities of
 interest sit far below every floating-point denormal (10^-183 and under),
-so probabilities only ever exist here as their logarithms. Binomials go
-through exact integer arithmetic up to m = 64 and a blocked sum of log
-ratios above; the exact rational forms stay available for oracle tests.
+so probabilities only ever exist here as their logarithms. Binomial
+ratios go through one blocked sum of log ratios for every m; the exact
+rational forms stay available for oracle tests.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
@@ -22,7 +21,6 @@ from .errors import DomainError
 from .numset import primes_up_to
 
 LN10 = math.log(10.0)
-RATIONAL_MAX_M = 64
 QUAD_REL_TOL = 1e-6
 QUAD_CUTOFF = 1e-30
 # slot hashes per Monte Carlo chunk: 256 KB of uint64, so every pass over a
@@ -64,6 +62,7 @@ def exact_disjoint_fraction(m: int, k1: int, k2: int) -> Fraction:
     Algebraically C(m-k1, k2) / C(m, k2); the symmetric full form reduces
     to this.
     """
+    from fractions import Fraction
     if not (0 <= k1 <= m and 0 <= k2 <= m):
         raise DomainError(f"subset sizes ({k1}, {k2}) must lie in [0, {m}]")
     if k2 > m - k1:
@@ -83,14 +82,11 @@ def _ln_ratio_sum(m: int, k1: int, k2: int) -> float:
 
 
 def exact_disjoint_prob(m: int, k1: int, k2: int) -> LogProb:
-    """Disjointness probability in log space; exact rationals for m <= 64."""
+    """Disjointness probability in log space, as a sum of log ratios."""
     if not (0 <= k1 <= m and 0 <= k2 <= m):
         raise DomainError(f"subset sizes ({k1}, {k2}) must lie in [0, {m}]")
     if k2 > m - k1:
         return LogProb(-math.inf)
-    if m <= RATIONAL_MAX_M:
-        frac = exact_disjoint_fraction(m, k1, k2)
-        return LogProb(math.log(frac.numerator) - math.log(frac.denominator))
     return LogProb(_ln_ratio_sum(m, k1, k2))
 
 
@@ -132,14 +128,14 @@ def log_f(n: int, damping_c: float = 1.0) -> LogProb:
 
 def coefficient_c_fraction(p_max: int) -> Fraction:
     """Exact damping coefficient: product of p/(p-1) over primes p <= p_max."""
+    from fractions import Fraction
     if p_max < 2:
         raise DomainError("coefficient needs p_max >= 2")
-    c = Fraction(1)
-    for p in primes_up_to(p_max).elements.tolist():
-        c *= Fraction(p, p - 1)
-    return c
+    ps = primes_up_to(p_max).elements.tolist()
+    return Fraction(math.prod(ps), math.prod(p - 1 for p in ps))
 
 
+@functools.lru_cache(maxsize=8)
 def coefficient_c(p_max: int) -> float:
     return float(coefficient_c_fraction(p_max))
 
@@ -291,6 +287,4 @@ def model_row(n: int, p_max: int | None = None, damping_c: float | None = None) 
 def model_table(
     ns: Iterable[int], p_max: int | None = None, damping_c: float | None = None
 ) -> list[ModelRow]:
-    if damping_c is None and p_max in (2, 3):  # one coefficient for every row
-        damping_c = coefficient_c(p_max)
     return [model_row(n, p_max=p_max, damping_c=damping_c) for n in ns]

@@ -498,8 +498,8 @@ class TestCheckRange:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pair_count_only_for_spot_checks(self, monkeypatch, primes_100k, workers):
         # sample_stride 7 with bucket_width 10_000 counts at step 2 in one
-        # FFT pass; pair_count recounts SPOT_CHECKS fixed sampled evens,
-        # the largest among them
+        # FFT pass; pair_count recounts SPOT_CHECKS sampled evens, spread
+        # evenly from the first to the last
         calls = []
 
         def spy(setQ, even):

@@ -702,6 +702,13 @@ class TestModuleEntryPoint:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=False)
         assert proc.returncode == 0 and proc.stderr == "[False, False]\n", proc.stderr
 
+    def test_import_leaves_fractions_out(self):
+        # only the exact rational forms use Fraction, and they import it on first use
+        code = "import sys, primesim; print('fractions' in sys.modules, file=sys.stderr)"
+        env = dict(os.environ, PYTHONPATH=str(Path(primesim.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=False)
+        assert proc.returncode == 0 and proc.stderr == "False\n", proc.stderr
+
     def test_python_dash_m_runs_main(self, capsys, tmp_path):
         env = dict(os.environ, PYTHONPATH=str(Path(primesim.__file__).parents[1]))
         argv = ["prob", "--n", "10000", "--pmax", "2"]

@@ -1,3 +1,4 @@
+import decimal
 import math
 import tracemalloc
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from primesim import probmodel
 from primesim.errors import DomainError
+from primesim.numset import primes_up_to
 from primesim.probmodel import (
     LogProb,
     _ln_ratio_sum,
@@ -96,7 +98,7 @@ class TestExactDisjoint:
         assert peak < 16 * 2**20
 
     def test_routes_agree_at_boundary(self):
-        # same inputs through both routes; crossover is m = 64
+        # the log-ratio sum against the logs of the exact rational near m = 64
         for m in (63, 64, 65):
             for k1, k2 in [(1, 1), (10, 20), (30, 30), (0, 63), (2, 61)]:
                 if k1 > m or k2 > m or k2 > m - k1:
@@ -108,6 +110,21 @@ class TestExactDisjoint:
                     assert abs(sum_ln - exact_ln) / abs(exact_ln) < 1e-12
                 else:
                     assert abs(sum_ln) < 1e-15
+
+    @pytest.mark.parametrize("m", [8, 16, 32, 63, 64])
+    def test_against_decimal_logs(self, m):
+        # ln P to a few ulp against 50-digit logs of the exact rational;
+        # a probability of 1 is exactly 0.0
+        ctx = decimal.Context(prec=50)
+        for k1 in range(m + 1):
+            for k2 in range(m - k1 + 1):
+                ln_p = exact_disjoint_prob(m, k1, k2).ln_value
+                if k1 == 0 or k2 == 0:
+                    assert ln_p == 0.0, (m, k1, k2)
+                    continue
+                frac = exact_disjoint_fraction(m, k1, k2)
+                exact = float(ctx.ln(frac.numerator) - ctx.ln(frac.denominator))
+                assert abs(ln_p - exact) <= 2e-15 * abs(exact), (m, k1, k2)
 
 
 class TestLogProb:
@@ -179,6 +196,12 @@ class TestCoefficient:
             oracle *= Fraction(p, p - 1)
         assert coefficient_c_fraction(100) == oracle
         assert coefficient_c(100) > 3.9
+
+    def test_one_product_matches_per_prime_product(self):
+        oracle = Fraction(1)
+        for p in trial_division_primes(10_000):
+            oracle *= Fraction(p, p - 1)
+        assert coefficient_c_fraction(10_000) == oracle
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -338,6 +361,26 @@ class TestModelRows:
         rows = model_table(range(1000, 100_001, 1000))
         values = [r.log10_f for r in rows]
         assert all(b < a for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("p_max", [None, 2, 3])
+    @pytest.mark.parametrize("damping_c", [None, 2.5])
+    def test_table_is_its_rows(self, p_max, damping_c):
+        ns = [6, 18, 64, 100, 1000, 12_345]
+        expected = [model_row(n, p_max=p_max, damping_c=damping_c) for n in ns]
+        assert model_table(ns, p_max, damping_c) == expected
+
+    def test_table_derives_the_coefficient_once(self, monkeypatch):
+        calls = []
+
+        def spy(limit):
+            calls.append(limit)
+            return primes_up_to(limit)
+
+        monkeypatch.setattr(probmodel, "primes_up_to", spy)
+        probmodel.coefficient_c.cache_clear()
+        rows = model_table(range(6, 1006), p_max=3)
+        assert len(rows) == 1000 and {r.damping_c for r in rows} == {3.0}
+        assert calls == [3]
 
     def test_params_validation(self):
         for n, p_max in ((10, None), (10_000, 3)):
